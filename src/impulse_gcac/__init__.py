@@ -20,6 +20,7 @@ from .linalg import (
 from .spectral import (
     Controller,
     CoupledSystem,
+    Propagators,
     SpectralDomain,
     apply_adjoint_semigroup,
     apply_impulse,
@@ -87,6 +88,7 @@ __all__ = [
     "InapplicableCertificateError",
     "NegativeCertificate",
     "ObservabilityReport",
+    "Propagators",
     "RankDeficiencyError",
     "Scenario",
     "ScenarioError",

@@ -32,13 +32,11 @@ from .observability import (
     hypothesis_verdict,
     rank_condition,
 )
-from .schedule import ImpulseSchedule, check_cycle, nu, pick_schedule, time_at
+from .schedule import ImpulseSchedule, check_cycle, pick_schedule, time_at
 from .spectral import (
     Controller,
     CoupledSystem,
     SpectralDomain,
-    apply_impulse,
-    apply_semigroup,
     l2_norm,
     random_state,
     zero_state,
@@ -49,6 +47,7 @@ from .synthesis import (
     constrained_null_synthesize,
     gcac_synthesize,
     local_gcac_synthesize,
+    simulate,
 )
 from .witness import InapplicableCertificateError, negative_bound
 
@@ -430,22 +429,16 @@ def _method_label(method):
     return "sampled-fit" if method == "sampled-fit" else "certified"
 
 
-def _trajectory(system, sched, x0, controls, k):
-    # mirror the simulate loop step for step so replays are bit-identical
-    state = apply_semigroup(system, x0, 0.0)
-    rows = [(0, 0.0, np.linalg.norm(state, axis=0), l2_norm(state), 0.0)]
-    t_prev = 0.0
-    for j in range(1, k + 1):
-        t_j = time_at(sched, j)
-        state = apply_semigroup(system, state, t_j - t_prev)
-        u_norm = 0.0
-        if j <= len(controls.impulses):
-            u = controls.impulses[j - 1]
-            state = apply_impulse(system, state, nu(sched, j), u)
-            u_norm = float(np.linalg.norm(u))
-        rows.append((j, t_j, np.linalg.norm(state, axis=0), l2_norm(state), u_norm))
-        t_prev = t_j
-    return rows
+def _rows(scenario, x0, controls, k):
+    # the norms come from simulate's own loop, so the last row reproduces
+    # a synthesized residual bit for bit
+    _, norms = simulate(scenario.system, scenario.sched, x0, controls, k, norms=True)
+    u_norms = [0.0] + [float(np.linalg.norm(u)) for u in controls.impulses[:k]]
+    u_norms += [0.0] * (k + 1 - len(u_norms))
+    return [
+        (j, time_at(scenario.sched, j), modes, total, u_norm)
+        for j, ((modes, total), u_norm) in enumerate(zip(norms, u_norms))
+    ]
 
 
 def _steering_summary(result):
@@ -527,7 +520,7 @@ def _task_gcac(scenario):
     res = gcac_synthesize(scenario.system, scenario.sched, x0, _need(scenario, "eps"), _k_max(scenario))
     result = _steering_summary(res)
     result["eps"] = scenario.parameters["eps"]
-    rows = _trajectory(scenario.system, scenario.sched, x0, res.controls, res.horizon_k)
+    rows = _rows(scenario, x0, res.controls, res.horizon_k)
     return result, [], rows
 
 
@@ -540,7 +533,7 @@ def _task_null(scenario):
         {"name": "period_growth_bound", "value": res.details["period_bound"], "method": "certified"},
         {"name": "ball_radius", "value": res.details["ball_radius"], "method": "certified"},
     ]
-    rows = _trajectory(scenario.system, scenario.sched, x0, res.controls, res.horizon_k)
+    rows = _rows(scenario, x0, res.controls, res.horizon_k)
     return result, constants, rows
 
 
@@ -556,7 +549,7 @@ def _task_local(scenario):
     constants = [
         {"name": "pgd_step_sizes", "value": list(res.details["step_sizes"]), "method": "sampled-fit"}
     ]
-    rows = _trajectory(scenario.system, scenario.sched, x0, res.controls, res.horizon_k)
+    rows = _rows(scenario, x0, res.controls, res.horizon_k)
     return result, constants, rows
 
 
@@ -581,7 +574,7 @@ def _task_simulate(scenario):
     if k is None:
         raise ScenarioError("invariant-violation", "parameters.horizon: required by task simulate")
     controls = ControlSequence(impulses=scenario.controls, constrained=False)
-    rows = _trajectory(scenario.system, scenario.sched, x0, controls, k)
+    rows = _rows(scenario, x0, controls, k)
     result = {
         "horizon_k": k,
         "final_state_norm": rows[-1][3],

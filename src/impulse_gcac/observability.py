@@ -191,29 +191,38 @@ def _observation_sum(system, sched, state, k, final_time):
     return total
 
 
-def _adjoint_propagator(system, t, modes):
-    """Adjoint flow at time t as a (matrix, per-mode decay) pair."""
+def _adjoint_propagators(system, sched, k, final_time, modes):
+    """Adjoint flow over final_time - t_j for j = 0..k, as (matrix, decay) pairs.
+
+    The decays cover the leading `modes` modes. Computed once per call and
+    shared by every batch of readings.
+    """
     lam = system.domain.eigenvalues()[:modes]
     lam1 = system.first_eigenvalue
     shifted = system.coupling.T - lam1 * np.eye(system.n)
-    return mat_exp(shifted, t), np.exp(-(lam - lam1) * t)
+    out = []
+    for j in range(k + 1):
+        t = final_time - time_at(sched, j)
+        out.append((mat_exp(shifted, t), np.exp(-(lam - lam1) * t)))
+    return out
 
 
-def _batch_readings(system, sched, Z, k, final_time):
+def _batch_readings(system, sched, Z, adjoint):
     """lhs norms and summed readings for a batch of states.
 
     Z has shape (batch, n, modes) with modes <= N; the Gram weighting only
-    needs the matching leading block. Returns (lhs, obs) arrays of length
-    batch, where lhs is the adjoint-flow norm at final_time and obs the
-    summed controller readings at final_time - t_j, j = 1..k.
+    needs the matching leading block. `adjoint` is the output of
+    `_adjoint_propagators` for these modes, horizon k and final time T.
+    Returns (lhs, obs) arrays of length batch, where lhs is the
+    adjoint-flow norm at T and obs the summed controller readings at
+    T - t_j, j = 1..k.
     """
     batch, _, pm = Z.shape
-    E, decay = _adjoint_propagator(system, final_time, pm)
+    E, decay = adjoint[0]
     flowed = np.einsum("ab,kbm->kam", E, Z) * decay[None, None, :]
     lhs = np.linalg.norm(flowed.reshape(batch, -1), axis=1)
     obs = np.zeros(batch)
-    for j in range(1, k + 1):
-        Ej, dj = _adjoint_propagator(system, final_time - time_at(sched, j), pm)
+    for j, (Ej, dj) in enumerate(adjoint[1:], 1):
         evolved = np.einsum("ab,kbm->kam", Ej, Z) * dj[None, None, :]
         ctrl = nu(sched, j)
         Y = np.einsum("ac,kam->kcm", system.gain(ctrl), evolved)
@@ -226,20 +235,17 @@ def _batch_readings(system, sched, Z, k, final_time):
     return lhs, obs
 
 
-def _observation_kernel(system, sched, k, final_time):
+def _observation_kernel(system, sched, adjoint):
     """Orthonormal basis of component directions invisible to all readings.
 
     A direction v is unobserved when every ``Q_{nu(j)}^T exp(P^T (T - t_j)) v``
     vanishes; the Gram weighting cannot rescue it because each support has
-    positive mass on every mode.
+    positive mass on every mode. `adjoint` is the output of
+    `_adjoint_propagators` for final time T.
     """
-    P = system.coupling
-    lam1 = system.first_eigenvalue
-    shifted = P.T - lam1 * np.eye(system.n)
-    rows = []
-    for j in range(1, k + 1):
-        E = mat_exp(shifted, final_time - time_at(sched, j))
-        rows.append(system.gain(nu(sched, j)).T @ E)
+    rows = [
+        system.gain(nu(sched, j)).T @ E for j, (E, _) in enumerate(adjoint[1:], 1)
+    ]
     stacked = np.vstack(rows)
     u, s, vt = np.linalg.svd(stacked)
     if s.size and s[0] > 0.0:
@@ -269,9 +275,10 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
     check_cycle(system, sched)
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     t_next = time_at(sched, k + 1)
+    adjoint = _adjoint_propagators(system, sched, k, t_next, system.domain.modes)
     ok, _ = rank_condition(system.coupling, gains, sched, k)
     if not ok:
-        kernel = _observation_kernel(system, sched, k, t_next)
+        kernel = _observation_kernel(system, sched, adjoint)
         witness = kernel[:, 0] if kernel.size else np.zeros(system.n)
         raise RankDeficiencyError(
             f"rank condition fails at horizon {k}: a component direction is "
@@ -283,7 +290,7 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
     norms = np.linalg.norm(Z.reshape(sample_count, -1), axis=1)
     keep = norms > 0.0
     Z, norms = Z[keep], norms[keep]
-    lhs, obs = _batch_readings(system, sched, Z, k, t_next)
+    lhs, obs = _batch_readings(system, sched, Z, adjoint)
     b = np.log(lhs / norms)
     a = np.log(obs / norms)
     theta = 1.0 - THETA_STEP
@@ -326,24 +333,23 @@ def delta_obs_constant(
         raise ValueError("delta must be positive")
     check_cycle(system, sched)
     t_k = time_at(sched, k)
-    kernel = _observation_kernel(system, sched, k, t_k)
+    pm = min(probe_modes, system.domain.modes)
+    adjoint = _adjoint_propagators(system, sched, k, t_k, pm)
+    kernel = _observation_kernel(system, sched, adjoint)
     if kernel.size:
-        lam1 = system.first_eigenvalue
-        shifted = system.coupling.T - lam1 * np.eye(system.n)
-        surviving = np.linalg.norm(mat_exp(shifted, t_k) @ kernel, 2)
+        surviving = np.linalg.norm(adjoint[0][0] @ kernel, 2)
         if surviving > delta * (1.0 + 1e-12):
             return ObservabilityReport(
                 k=k, constant=math.inf, method="sampled-fit", delta=delta
             )
 
-    pm = min(probe_modes, system.domain.modes)
     rng = np.random.default_rng(seed)
     dim = system.n * pm
 
     def evaluate(zs):
         # zs: (batch, n*pm) unit rows -> required constant per row
         Z = zs.reshape(zs.shape[0], system.n, pm)
-        lhs, obs = _batch_readings(system, sched, Z, k, t_k)
+        lhs, obs = _batch_readings(system, sched, Z, adjoint)
         norms = np.linalg.norm(zs, axis=1)
         return _delta_required(lhs, norms, obs, delta)
 

@@ -17,6 +17,14 @@ Projecting that product back onto the retained modes uses the Gram (mass)
 matrix of the basis restricted to the subinterval, for which closed forms
 are used; energy carried into modes beyond N is dropped, a truncation
 error of order 1/N documented and measured in the tests.
+
+Impulse times repeat with the schedule's period, so the flow between two
+consecutive impulses takes only hbar distinct forms. `Propagators` builds
+them once per schedule: the loop of `simulate` and the maps from each
+impulse to the final time are products of these per-slot step maps, and
+the pull-back maps ``exp((lambda_1 I - P) t_j)`` are a per-slot pull-back
+times a power of the pull-back over one period. `apply_semigroup` remains
+the one-shot flow over an arbitrary time.
 """
 
 import math
@@ -30,6 +38,7 @@ __all__ = [
     "SpectralDomain",
     "Controller",
     "CoupledSystem",
+    "Propagators",
     "eigen_data",
     "overlap_matrix",
     "apply_semigroup",
@@ -304,6 +313,102 @@ def apply_impulse(system, state, k, u):
         return st + system.gain(k) @ u
     gram = system.overlap(k)
     return st + system.gain(k) @ (u @ gram)
+
+
+class _PullbackTable:
+    """Pull-back maps ``exp((lam1 I - P) t_j)`` at the impulse times of a schedule.
+
+    With t_j = b_r + c t_hbar (slot r, c whole periods before it) the map
+    is ``exp((lam1 I - P) b_r) Psi^c``, Psi being the map over one period,
+    which is the slot map of r = hbar. So a table costs hbar matrix
+    exponentials; the powers of Psi are extended on demand, one product
+    each. A power that overflows turns into inf or nan entries, which the
+    finiteness checks downstream reject.
+    """
+
+    def __init__(self, P, lam1, sched):
+        P = as_matrix(P)
+        generator = lam1 * np.eye(P.shape[0]) - P
+        self._slots = [mat_exp(generator, b) for b in sched.base_times]
+        self._powers = [np.eye(P.shape[0])]
+
+    def __call__(self, j):
+        """exp((lam1 I - P) t_j) for the impulse index j >= 1."""
+        cycles, slot = divmod(j - 1, len(self._slots))
+        while len(self._powers) <= cycles:
+            self._powers.append(self._powers[-1] @ self._slots[-1])
+        return self._slots[slot] @ self._powers[cycles]
+
+
+class Propagators:
+    """Flow maps of one system on one periodic schedule.
+
+    Slot r (1-based, impulse j uses slot nu(j)) holds the lambda_1-shifted
+    step map ``exp((P - lambda_1 I) D_r)`` and the per-mode decay
+    ``exp(-(lambda - lambda_1) D_r)`` over ``D_r = b_r - b_{r-1}`` (b_0 = 0),
+    plus the controller's gain and Gram matrix (None on a full support).
+    `advance` is the one flow-and-jump step of every forward loop,
+    `to_final` the maps from each impulse to a final impulse (adjoint maps
+    are their transposes), and `pullback` the lazily extended pull-back
+    table. Construction costs hbar matrix exponentials; an engine lives
+    for one call and is never cached beyond it.
+    """
+
+    def __init__(self, system, sched):
+        lam = system.domain.eigenvalues()
+        lam1 = lam[0]
+        shifted = system.coupling - lam1 * np.eye(system.n)
+        self.system = system
+        self.sched = sched
+        self.hbar = sched.hbar
+        self.steps = []
+        self.jumps = []
+        prev = 0.0
+        for r, b in enumerate(sched.base_times, start=1):
+            dt = b - prev
+            self.steps.append((mat_exp(shifted, dt), np.exp(-(lam - lam1) * dt)))
+            gram = None if system._full[r - 1] else system.overlap(r)
+            self.jumps.append((system.gain(r), gram))
+            prev = b
+        self._pullbacks = None
+
+    def advance(self, state, j, u=None):
+        """State just after impulse j from the state just after impulse j - 1.
+
+        Flows over the step of slot nu(j), then jumps by the control u
+        (m, N) when one is given.
+        """
+        E, decay = self.steps[(j - 1) % self.hbar]
+        state = (E @ state) * decay[None, :]
+        if u is not None:
+            gain, gram = self.jumps[(j - 1) % self.hbar]
+            state = state + gain @ (u if gram is None else u @ gram)
+        return state
+
+    def to_final(self, k):
+        """Shifted flow from t_j to t_k for j = 0..k, as (map, decay) pairs.
+
+        Entry j is ``(exp((P - lambda_1 I)(t_k - t_j)),
+        exp(-(lambda - lambda_1)(t_k - t_j)))``, accumulated backwards from
+        t_k by one step product per impulse; entry k is the identity.
+        """
+        F = np.eye(self.system.n)
+        d = np.ones(self.system.domain.modes)
+        out = [(F, d)]
+        for j in range(k, 0, -1):
+            E, decay = self.steps[(j - 1) % self.hbar]
+            F = F @ E
+            d = d * decay
+            out.append((F, d))
+        return out[::-1]
+
+    def pullback(self, j):
+        """``exp((lambda_1 I - P) t_j)`` for j >= 1, from a `_PullbackTable`."""
+        if self._pullbacks is None:
+            self._pullbacks = _PullbackTable(
+                self.system.coupling, self.system.first_eigenvalue, self.sched
+            )
+        return self._pullbacks(j)
 
 
 def l2_norm(state):

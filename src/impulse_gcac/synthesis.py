@@ -12,7 +12,10 @@ system:
 
 Every routine returns a SteeringResult whose residual is the l2 norm of a
 state produced by `simulate`, so callers can re-verify any result by
-replaying the controls.
+replaying the controls. `simulate`, the descent model and the steering
+and null-steering blocks take their maps from a `spectral.Propagators`
+engine built once per public call: hbar matrix exponentials per schedule,
+not one per impulse.
 """
 
 import math
@@ -35,8 +38,14 @@ from .observability import (
     rank_condition,
     semigroup_norm,
 )
-from .schedule import check_cycle, nu, time_at
-from .spectral import apply_impulse, apply_semigroup, l2_norm, zero_state
+from .schedule import check_cycle, time_at
+from .spectral import (
+    Propagators,
+    _PullbackTable,
+    apply_semigroup,
+    l2_norm,
+    zero_state,
+)
 
 __all__ = [
     "ControlSequence",
@@ -144,25 +153,40 @@ class SteeringResult:
     details: Optional[dict] = None
 
 
-def simulate(system, sched, x0, controls, k):
+def simulate(system, sched, x0, controls, k, norms=False):
     """State after k impulses: flow, jump, flow, jump, ..., jump.
 
     Impulse j acts at time t_j through controller nu(j); the returned
     state is the post-jump value at t_k. Controls beyond the list length
-    are zero.
+    are zero. Each flow is the step map of slot nu(j) from
+    `spectral.Propagators`, so a run costs hbar matrix exponentials
+    whatever k is.
+
+    With norms=True the result is (state, norms): for j = 0..k, the
+    per-mode column norms and the l2 norm of the state just after impulse
+    j, taken inside the same loop, so the last l2 norm is
+    ``l2_norm(state)`` bit for bit.
     """
     check_cycle(system, sched)
     if k < 0:
         raise ValueError("impulse count must be nonnegative")
     state = apply_semigroup(system, x0, 0.0)  # validates shape, copies
-    t_prev = 0.0
+    shape = (system.m, system.domain.modes)
+    if controls.impulses and controls.impulses[0].shape != shape:
+        raise ValueError(
+            f"control must have shape {shape}, got {controls.impulses[0].shape}"
+        )
+    return _propagate(Propagators(system, sched), state, controls.impulses, k, norms)
+
+
+def _propagate(props, state, impulses, k, norms=False):
+    """The loop of `simulate` on a prebuilt engine, from impulse 0 to k."""
+    trace = [(np.linalg.norm(state, axis=0), l2_norm(state))] if norms else None
     for j in range(1, k + 1):
-        t_j = time_at(sched, j)
-        state = apply_semigroup(system, state, t_j - t_prev)
-        if j <= len(controls.impulses):
-            state = apply_impulse(system, state, nu(sched, j), controls.impulses[j - 1])
-        t_prev = t_j
-    return state
+        state = props.advance(state, j, impulses[j - 1] if j <= len(impulses) else None)
+        if norms:
+            trace.append((np.linalg.norm(state, axis=0), l2_norm(state)))
+    return (state, trace) if norms else state
 
 
 def project_H1(system, state):
@@ -184,10 +208,9 @@ def _cyclic(gains, j):
 
 
 def _shifted_blocks(P, gains, sched, k, lam1):
-    """Blocks exp((lam1 I - P) t_j) Q_nu(j) for j = 1..k."""
-    n = P.shape[0]
-    shifted = lam1 * np.eye(n) - P
-    return [mat_exp(shifted, time_at(sched, j)) @ _cyclic(gains, j) for j in range(1, k + 1)]
+    """Blocks exp((lam1 I - P) t_j) Q_nu(j) for j = 1..k, from a pull-back table."""
+    pull = _PullbackTable(P, lam1, sched)
+    return [pull(j) @ _cyclic(gains, j) for j in range(1, k + 1)]
 
 
 def gramian_delta(P, gains, sched, k_star, lam1=1.0):
@@ -204,9 +227,13 @@ def gramian_delta(P, gains, sched, k_star, lam1=1.0):
     matches an interval of length pi.
     """
     P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    blocks = _shifted_blocks(P, gains, sched, k_star, lam1)
+    return _gramian_ball(_shifted_blocks(P, gains, sched, k_star, lam1), k_star)
+
+
+def _gramian_ball(blocks, k_star):
+    """`gramian_delta` of already assembled blocks."""
     S = np.hstack(blocks)
+    n = S.shape[0]
     sing = np.linalg.svd(S, compute_uv=False)
     if S.shape[1] < n or sing[0] == 0.0 or sing[n - 1] <= RANK_TOL * sing[0]:
         raise ValueError(
@@ -295,13 +322,17 @@ def _chunked_mode1(system, sched, v, k_max):
         )
     span = system.hbar * math.ceil(ok_k / system.hbar)
     blocks = _shifted_blocks(P, gains, sched, span, lam1)
-    M, delta = gramian_delta(P, gains, sched, span, lam1)
+    M, delta = _gramian_ball(blocks, span)
     # small margin keeps the closed-form controls strictly inside the ball
     delta *= 1.0 - 1e-12
-    shifted_back = P - lam1 * np.eye(P.shape[0])
+    # flow over one span: the inverse of the pull-back by span impulses
+    span_flow = np.linalg.matrix_power(
+        mat_exp(P - lam1 * np.eye(P.shape[0]), sched.period), span // system.hbar
+    )
 
     remaining = -np.asarray(v, dtype=float)
     xi_list = []
+    back = np.eye(P.shape[0])
     b = 0
     while float(np.linalg.norm(remaining)) > 0.0:
         if (b + 1) * span > k_max:
@@ -309,7 +340,9 @@ def _chunked_mode1(system, sched, v, k_max):
                 f"target needs more than {k_max} impulses of Gramian-ball steering"
             )
         # pull the remaining target back to the first span's variables
-        pulled = mat_exp(shifted_back, time_at(sched, b * span)) @ remaining
+        if b:
+            back = span_flow @ back
+        pulled = back @ remaining
         scale = float(np.linalg.norm(pulled))
         if scale <= delta:
             eta = pulled
@@ -364,14 +397,13 @@ def steer_first_mode(system, sched, v_target, k_max):
         )
 
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
+    props = Propagators(system, sched)
     blocks = []
 
     def solution_at(k):
         while len(blocks) < k:
             j = len(blocks) + 1
-            blocks.append(
-                mat_exp(lam1 * np.eye(system.n) - P, time_at(sched, j)) @ _cyclic(gains, j)
-            )
+            blocks.append(props.pullback(j) @ _cyclic(gains, j))
         return _exact_mode1_solution(blocks[:k], v)
 
     best_sup = math.inf
@@ -412,7 +444,7 @@ def steer_first_mode(system, sched, v_target, k_max):
     controls = ControlSequence(impulses=tuple(_mode1_controls(system, xi_list)))
     x0 = zero_state(system)
     x0[:, 0] = v
-    final = simulate(system, sched, x0, controls, k_used)
+    final = _propagate(props, x0, controls.impulses, k_used)
     mode1 = float(np.linalg.norm(final[:, 0]))
     if mode1 > 1e-9 * float(np.linalg.norm(v)):
         raise RuntimeError(
@@ -428,13 +460,19 @@ def steer_first_mode(system, sched, v_target, k_max):
     )
 
 
-def decay_horizon(system, sched, remainder, eps, min_index=0):
+def decay_horizon(system, sched, remainder, eps, min_index=0, k_max=None):
     """First impulse index at which the free flow of `remainder` fits in eps.
 
     The remainder must have zero first-mode coefficient; all its modes
     then decay strictly faster than the flow's operator norm, so the
     index is finite whenever the coupling spectrum stays at or below the
-    first diffusion eigenvalue.
+    first diffusion eigenvalue. Each index is checked with the one-shot
+    flow over t_k.
+
+    Raises
+    ------
+    HorizonExhaustedError
+        When k_max is given and the flow is still above eps at index k_max.
     """
     check_cycle(system, sched)
     if eps <= 0.0:
@@ -446,6 +484,10 @@ def decay_horizon(system, sched, remainder, eps, min_index=0):
     _spectral_guard(system.coupling, system.first_eigenvalue)
     k = min_index
     while l2_norm(apply_semigroup(system, remainder, time_at(sched, k))) > eps:
+        if k_max is not None and k >= k_max:
+            raise HorizonExhaustedError(
+                f"free decay of the remainder is still above eps at horizon {k_max}"
+            )
         k += 1
     return k
 
@@ -456,8 +498,9 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
     Splits x0 into its mode-1 part and the rest, cancels the mode-1 part
     exactly with `steer_first_mode`, then coasts until the remaining
     modes have decayed below eps. The returned certificate is
-    'epsilon-ball'; horizon exhaustion inside the steering phase
-    propagates as HorizonExhaustedError.
+    'epsilon-ball' and the horizon never exceeds k_max: running out of
+    impulses, in the steering phase or while coasting, raises
+    HorizonExhaustedError.
     """
     check_cycle(system, sched)
     if eps <= 0.0:
@@ -476,20 +519,20 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
         xi_impulses = []
         k_steer = 0
 
-    k = decay_horizon(system, sched, remainder, eps, min_index=k_steer)
+    k = decay_horizon(system, sched, remainder, eps, min_index=k_steer, k_max=k_max)
     controls = ControlSequence(impulses=tuple(xi_impulses))
-    while True:
-        final = simulate(system, sched, x0, controls, k)
-        residual = l2_norm(final)
-        # stepwise flow differs from the one-shot flow by rounding only;
-        # one extra impulse of decay absorbs it
-        if residual <= eps:
-            break
+    props = Propagators(system, sched)
+    final = _propagate(props, apply_semigroup(system, x0, 0.0), controls.impulses, k)
+    # stepwise flow differs from the one-shot flow by rounding only; extra
+    # impulses of decay absorb it, each one step of the same loop, so the
+    # state stays bit-identical to simulate at the new horizon
+    while (residual := l2_norm(final)) > eps:
         if k >= k_max:
             raise HorizonExhaustedError(
                 f"residual {residual:.3e} still above eps at horizon {k_max}"
             )
         k += 1
+        final = props.advance(final, k)
     return SteeringResult(
         controls=controls,
         horizon_k=k,
@@ -503,10 +546,10 @@ def null_steer(system, sched, x0, k_star):
     """Exact null steering in k_star impulses, mode by mode.
 
     Solves the minimum-norm exact steering problem separately for every
-    mode of the truncation; the aggregate l2 norm of the controls is at
-    most sqrt(C(k_star)) ||x0|| with C from `finite_obs_constant`, but
-    individual impulses may exceed the unit ball (the result is flagged
-    unconstrained).
+    mode of the truncation, all modes in one stacked pseudo-inverse; the
+    aggregate l2 norm of the controls is at most sqrt(C(k_star)) ||x0||
+    with C from `finite_obs_constant`, but individual impulses may exceed
+    the unit ball (the result is flagged unconstrained).
 
     Raises
     ------
@@ -522,7 +565,6 @@ def null_steer(system, sched, x0, k_star):
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
     P = system.coupling
-    n, N = system.n, system.domain.modes
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     ok, _ = rank_condition(P, gains, sched, k_star)
     if not ok:
@@ -531,38 +573,24 @@ def null_steer(system, sched, x0, k_star):
             witness=_deficiency_witness(P, gains, sched, k_star),
         )
 
-    x0 = np.asarray(x0, dtype=float)
-    lam = system.domain.eigenvalues()
-    lam1 = system.first_eigenvalue
-    t_k = time_at(sched, k_star)
-    times = [time_at(sched, j) for j in range(1, k_star + 1)]
-    shifted = P - lam1 * np.eye(n)
-    # lam1-shifted propagators over the remaining time to t_k
-    F = [mat_exp(shifted, t_k - t) @ _cyclic(gains, j + 1) for j, t in enumerate(times)]
-    F0 = mat_exp(shifted, t_k)
-
-    impulses = [np.zeros((system.m, N)) for _ in range(k_star)]
-    error_sq = 0.0
-    for i in range(N):
-        # the final-time form keeps every entry representable: block j
-        # carries the decay over t_k - t_j relative to mode 1, never growth
-        gaps = [math.exp(-(lam[i] - lam1) * (t_k - t)) for t in times]
-        A = np.hstack([g * block for g, block in zip(gaps, F)])
-        b = -math.exp(-(lam[i] - lam1) * t_k) * (F0 @ x0[:, i])
-        xi = min_norm_solve(A, b, tol=1e-14)
-        for j in range(k_star):
-            impulses[j][:, i] = xi[j * system.m : (j + 1) * system.m]
-        # the equation residual is the final mode-i coefficient itself
-        error_sq += float(np.linalg.norm(A @ xi - b)) ** 2
-
+    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    props = Propagators(system, sched)
+    A, b = _null_equations(props, x0, k_star)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("null steering equations must be finite")
+    xi = np.matmul(np.linalg.pinv(A, rcond=1e-14), b[:, :, None])[:, :, 0]
+    # the equation residual of mode i is its final coefficient itself
+    error = float(np.linalg.norm(np.matmul(A, xi[:, :, None])[:, :, 0] - b))
     scale = l2_norm(x0)
-    if math.sqrt(error_sq) > 1e-10 * max(scale, 1.0):
+    if error > 1e-10 * max(scale, 1.0):
         raise RuntimeError(
             "null steering lost exactness: predicted residual "
-            f"{math.sqrt(error_sq):.3e} for a state of norm {scale:.3e}"
+            f"{error:.3e} for a state of norm {scale:.3e}"
         )
-    controls = ControlSequence(impulses=tuple(impulses), constrained=False)
-    final = simulate(system, sched, x0, controls, k_star)
+    m = system.m
+    impulses = tuple(xi[:, j * m : (j + 1) * m].T.copy() for j in range(k_star))
+    controls = ControlSequence(impulses=impulses, constrained=False)
+    final = _propagate(props, x0, controls.impulses, k_star)
     return SteeringResult(
         controls=controls,
         horizon_k=k_star,
@@ -570,6 +598,27 @@ def null_steer(system, sched, x0, k_star):
         residual=l2_norm(final),
         certificate="exact",
     )
+
+
+def _null_equations(props, x0, k):
+    """Per-mode null steering equations ``A_i xi_i = b_i``, stacked over modes.
+
+    A has shape (N, n, k m): block j of A_i is the lam1-shifted flow from
+    t_j to t_k applied to Q_nu(j), times the decay of mode i relative to
+    mode 1 over that time. This final-time form keeps every entry
+    representable: blocks carry decay, never growth. b, shape (N, n), is
+    minus the free final state, mode by mode.
+    """
+    system = props.system
+    to_final = props.to_final(k)
+    F0, d0 = to_final[0]
+    blocks = np.hstack(
+        [F @ props.jumps[(j - 1) % props.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
+    )
+    gaps = np.repeat(np.array([d for _, d in to_final[1:]]), system.m, axis=0)
+    A = blocks[None, :, :] * gaps.T[:, None, :]
+    b = -((F0 @ x0) * d0[None, :]).T
+    return A, b
 
 
 def constrained_null_synthesize(system, sched, x0, k_max):
@@ -641,42 +690,26 @@ def constrained_null_synthesize(system, sched, x0, k_max):
 
 
 class _HorizonModel:
-    """Cached propagators for repeated simulation at one fixed horizon.
+    """Control-to-state map at one fixed horizon k, and its adjoint.
 
-    Reproduces `simulate` and the adjoint of the control-to-state map
-    bitwise, but computes each matrix exponential once instead of once
-    per call.
+    Both sides come from one `Propagators` engine: `forward` is the loop
+    of `simulate` (`Propagators.advance`), so it equals `simulate` bitwise
+    for k impulses; `back` holds, per impulse j, the adjoint flow from t_j
+    to t_k as the transpose of the engine's `to_final` map, with its
+    per-mode decay.
     """
 
-    def __init__(self, system, sched, k):
-        self.system = system
+    def __init__(self, props, k):
+        self.props = props
+        self.system = props.system
         self.k = k
-        n = system.n
-        lam = system.domain.eigenvalues()
-        lam1 = system.first_eigenvalue
-        shifted = system.coupling - lam1 * np.eye(n)
-        times = [time_at(sched, j) for j in range(k + 1)]
-        self.steps = []
-        self.jumps = []
-        self.back = []
-        for j in range(1, k + 1):
-            dt = times[j] - times[j - 1]
-            self.steps.append(
-                (mat_exp(shifted, dt), np.exp(-(lam - lam1) * dt))
-            )
-            ctrl = nu(sched, j)
-            gram = None if system._full[ctrl - 1] else system.overlap(ctrl)
-            self.jumps.append((system.gain(ctrl), gram))
-            tau = times[k] - times[j]
-            self.back.append(
-                (mat_exp(shifted.T, tau), np.exp(-(lam - lam1) * tau))
-            )
+        self.jumps = [props.jumps[(j - 1) % props.hbar] for j in range(1, k + 1)]
+        self.back = [(F.T, d) for F, d in props.to_final(k)[1:]]
 
     def forward(self, x0, impulses):
         state = x0
-        for (E, decay), (gain, gram), u in zip(self.steps, self.jumps, impulses):
-            state = (E @ state) * decay[None, :]
-            state = state + gain @ (u if gram is None else u @ gram)
+        for j, u in enumerate(impulses, 1):
+            state = self.props.advance(state, j, u)
         return state
 
     def gradient(self, final_state):
@@ -771,8 +804,9 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     best_k = horizons[0]
     steps = {}
     history = {}
+    props = Propagators(system, sched)
     for k in horizons:
-        model = _HorizonModel(system, sched, k)
+        model = _HorizonModel(props, k)
         u = [x.copy() for x in best_u] + [np.zeros((m, N))] * (k - len(best_u))
         # power iteration approaches the true constant from below; the
         # margin keeps the step at or under 1/L
@@ -798,7 +832,7 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
             break
 
     controls = ControlSequence(impulses=tuple(best_u))
-    final = simulate(system, sched, x0, controls, best_k)
+    final = _propagate(props, x0, controls.impulses, best_k)
     residual = l2_norm(final)
     certificate = "epsilon-ball" if residual <= eps else "failed-horizon-exhausted"
     return SteeringResult(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import check_cycle, time_at
-from .spectral import l2_norm, zero_state
+from .spectral import Propagators, l2_norm, zero_state
 from .synthesis import _clip_unit, _HorizonModel, _lipschitz_estimate
 
 __all__ = [
@@ -179,8 +179,11 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     norm found by projected gradient descent over unit-ball impulses at
     exactly k impulses; lower_bound is the best dual bound over candidate
     directions (coupling eigendirections on mode 1, the free final state,
-    and random unit states refined by ascent), clamped at zero. Every
-    constrained control sequence satisfies residual >= lower_bound.
+    and random unit states refined by ascent), clamped to [0, achieved].
+    Every constrained control sequence satisfies residual >= lower_bound;
+    the upper clamp keeps that true, since achieved is attained by a
+    unit-ball control, and removes a bound above achieved by rounding
+    alone when the bound is tight.
     """
     check_cycle(system, sched)
     if k < 1:
@@ -189,7 +192,7 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
         raise ValueError("grad_iters must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     n, m, N = system.n, system.m, system.domain.modes
-    model = _HorizonModel(system, sched, k)
+    model = _HorizonModel(Propagators(system, sched), k)
     rng = np.random.default_rng(seed)
 
     # primal: fixed-horizon constrained descent from the zero control
@@ -228,4 +231,4 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     # ascent-refine the three most promising directions
     for idx in order[:3]:
         best = max(best, _ascend(model, free, candidates[idx], 30))
-    return max(best, 0.0), achieved
+    return min(max(best, 0.0), achieved), achieved

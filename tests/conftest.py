@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import settings
 
 from impulse_gcac.schedule import ImpulseSchedule
 from impulse_gcac.spectral import Controller, CoupledSystem, SpectralDomain
@@ -46,3 +47,11 @@ def two_component_invariant_system(modes=32, support=None):
 def unit_schedule():
     """Impulses at 1, 2, 3, ...: one actuator per period of length 1."""
     return ImpulseSchedule(base_times=(1.0,))
+
+
+# property tests: a fixed example sequence per test keeps tier-1 runs
+# reproducible, and a bounded count keeps them fast
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=30, deadline=None, database=None
+)
+settings.load_profile("tier1")

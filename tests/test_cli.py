@@ -270,6 +270,29 @@ def test_exhausted_synthesis_exits_two(tmp_path):
     assert report["result"]["residual"] > 1e-10
 
 
+def test_gcac_beyond_k_max_exits_two(tmp_path):
+    # zero coupling and eps 1e-12 need more than four impulses of decay
+    doc = full_support_doc(coupling=[[0.0, 0.0], [0.0, 0.0]], eps=1e-12, k_max=4)
+    path = write_scenario(tmp_path, doc)
+    code = main(["synthesize-gcac", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"]["code"] == "horizon-exhausted"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("task", ["synthesize-gcac", "synthesize-null", "synthesize-local"])
+def test_last_trajectory_row_is_the_residual_bitwise(tmp_path, task):
+    doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)
+    doc["schedule"] = {"base_times": [0.3]}
+    path = write_scenario(tmp_path, doc)
+    assert main([task, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == report["result"]["horizon_k"] + 2
+    assert float(rows[-1].split(",")[-2]) == report["result"]["residual"]
+
+
 def test_observability_task_labels_constants(tmp_path):
     doc = full_support_doc()
     doc["parameters"]["delta"] = 0.5

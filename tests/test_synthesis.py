@@ -300,6 +300,15 @@ def test_decay_horizon_honors_min_index():
     assert decay_horizon(system, unit_schedule(), state, 1.0, min_index=5) == 5
 
 
+def test_decay_horizon_stops_at_k_max():
+    # mode 2 needs eight unit steps to fall to 1e-7 (exp(-4 k) <= 1e-7)
+    system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=8)
+    state = single_mode_state(system, 2, [1.0])
+    assert decay_horizon(system, unit_schedule(), state, 1e-7, k_max=8) == 5
+    with pytest.raises(HorizonExhaustedError, match="horizon 4"):
+        decay_horizon(system, unit_schedule(), state, 1e-7, k_max=4)
+
+
 def test_decay_horizon_rejects_mode_one_content():
     system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=8)
     state = single_mode_state(system, 1, [1.0])
@@ -347,6 +356,28 @@ def test_gcac_propagates_horizon_exhaustion():
     x0[0, 0] = 40.0
     with pytest.raises(HorizonExhaustedError):
         gcac_synthesize(system, unit_schedule(), x0, 1e-2, 5)
+
+
+def test_gcac_never_returns_a_horizon_beyond_k_max():
+    # zero coupling: the remainder needs seven impulses to decay below
+    # 1e-12, more than the four allowed, so the search must give up
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    x0 = random_state(system, np.random.default_rng(0), norm=1.0)
+    with pytest.raises(HorizonExhaustedError):
+        gcac_synthesize(system, unit_schedule(), x0, 1e-12, 4)
+    res = gcac_synthesize(system, unit_schedule(), x0, 1e-12, 7)
+    assert res.horizon_k == 7 and res.residual <= 1e-12
+
+
+def test_gcac_coasting_steps_match_simulate_bitwise():
+    # the coasting loop advances the last state one impulse at a time
+    system = make_system(np.array([[0.0, 0.3], [-0.3, 0.0]]), [np.eye(2)], modes=16)
+    sched = ImpulseSchedule(base_times=(0.3,))
+    x0 = random_state(system, np.random.default_rng(41), norm=10.0)
+    res = gcac_synthesize(system, sched, x0, 1e-6, 256)
+    replay = simulate(system, sched, x0, res.controls, res.horizon_k)
+    assert np.array_equal(replay, res.final_state)
+    assert l2_norm(replay) == res.residual
 
 
 # --- exact null steering ---

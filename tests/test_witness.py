@@ -124,3 +124,18 @@ def test_gap_soundness_on_seeded_systems():
         k = int(rng.integers(1, 6))
         lower, achieved = reachability_gap(system, sched, x0, k, 80)
         assert 0.0 <= lower <= achieved * (1.0 + 1e-9) + 1e-12
+
+
+def test_gap_bound_never_exceeds_the_achieved_residual():
+    # a tight bound: the dual value equals the attained residual up to
+    # rounding, which must not put the certified floor above it
+    rng = np.random.default_rng(0)
+    P = 0.5 * rng.standard_normal((2, 2))
+    Q = rng.standard_normal((2, 1))
+    system = make_system(P, [Q], modes=8)
+    x0 = zero_state(system)
+    x0[:, 0] = 20.0 * rng.standard_normal(2)
+    for k in (1, 3):
+        lower, achieved = reachability_gap(system, unit_schedule(), x0, k, 30)
+        assert 0.0 < lower <= achieved
+        assert lower == pytest.approx(achieved, rel=1e-9)

@@ -6,7 +6,8 @@ instants of a periodic schedule, on an exact spectral truncation.
 
 The package splits into construction (`spectral`, `schedule`), analysis
 (`observability`, `witness`), synthesis (`synthesis`), and a scenario
-driven command line front end (`cli`).
+driven command line front end (`cli`), which is imported on its own so
+that ``python -m impulse_gcac.cli`` runs without a runpy warning.
 """
 
 from .linalg import (
@@ -57,6 +58,7 @@ from .observability import (
 from .synthesis import (
     ControlSequence,
     HorizonExhaustedError,
+    NonFiniteStateError,
     SteeringResult,
     constrained_null_synthesize,
     decay_horizon,
@@ -74,7 +76,6 @@ from .witness import (
     negative_bound,
     reachability_gap,
 )
-from .cli import Scenario, ScenarioError, bundled_scenario, load_scenario, run
 
 __version__ = "0.1.0"
 
@@ -87,18 +88,16 @@ __all__ = [
     "ImpulseSchedule",
     "InapplicableCertificateError",
     "NegativeCertificate",
+    "NonFiniteStateError",
     "ObservabilityReport",
     "Propagators",
     "RankDeficiencyError",
-    "Scenario",
-    "ScenarioError",
     "SpectralDomain",
     "SteeringResult",
     "UnreachableTargetError",
     "apply_adjoint_semigroup",
     "apply_impulse",
     "apply_semigroup",
-    "bundled_scenario",
     "check_cycle",
     "compose_obs",
     "constrained_null_synthesize",
@@ -113,7 +112,6 @@ __all__ = [
     "kalman_rank",
     "krylov_dim",
     "l2_norm",
-    "load_scenario",
     "local_gcac_synthesize",
     "mat_exp",
     "min_norm_solve",
@@ -127,7 +125,6 @@ __all__ = [
     "random_state",
     "rank_condition",
     "reachability_gap",
-    "run",
     "schedule_depth",
     "semigroup_norm",
     "simulate",

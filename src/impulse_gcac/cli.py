@@ -44,6 +44,7 @@ from .spectral import (
 from .synthesis import (
     ControlSequence,
     HorizonExhaustedError,
+    NonFiniteStateError,
     constrained_null_synthesize,
     gcac_synthesize,
     local_gcac_synthesize,
@@ -682,6 +683,9 @@ def run(scenario, out_dir=None):
     except HorizonExhaustedError as err:
         report["error"] = {"code": "horizon-exhausted", "message": str(err)}
         code = 2
+    except NonFiniteStateError as err:
+        report["error"] = {"code": "non-finite-state", "message": str(err)}
+        code = 1
     except ScenarioError:
         raise
     except ValueError as err:

@@ -1,14 +1,17 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
 Contract-focused wrappers around LAPACK routines (via numpy/scipy): matrix
-exponential, SVD-based numerical rank, minimum-norm least squares, and
+exponential, the span of a column stack, minimum-norm least squares, and
 eigenvalue summaries. Everything operates on plain float ndarrays; inputs
 are validated once here so downstream modules can assume finite, correctly
 shaped matrices.
+`column_span` is the package's only SVD: every rank decision, its null
+direction and every Gramian constant are read from it.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -16,8 +19,10 @@ import scipy.linalg
 __all__ = [
     "RANK_TOL",
     "SpectrumInfo",
+    "Span",
     "UnreachableTargetError",
     "as_matrix",
+    "column_span",
     "mat_exp",
     "numerical_rank",
     "min_norm_solve",
@@ -92,20 +97,42 @@ def mat_exp(M, t=1.0):
     return scipy.linalg.expm(M * t)
 
 
+class Span(NamedTuple):
+    """Column span of an ``n x p`` stack, from one SVD.
+
+    rank counts the singular values above ``tol * sigma_max`` (0 for a
+    zero matrix); sigma_n is the n-th singular value when the stack has
+    full row rank and 0 otherwise; null is an orthonormal basis, shape
+    (n, n - rank), of the directions orthogonal to every column.
+    """
+
+    rank: int
+    sigma_max: float
+    sigma_n: float
+    null: np.ndarray
+
+
+def column_span(S, tol=RANK_TOL):
+    """Rank, extreme singular values and left null space of the stack S."""
+    S = as_matrix(S)
+    n, p = S.shape
+    if S.size == 0:
+        return Span(0, 0.0, 0.0, np.eye(n))
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    # the stacks are wide; the full left factor is only needed when p < n
+    u, s, _ = np.linalg.svd(S, full_matrices=p < n)
+    rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
+    sigma_n = float(s[n - 1]) if rank == n else 0.0
+    return Span(rank, float(s[0]), sigma_n, u[:, rank:])
+
+
 def numerical_rank(M, tol=RANK_TOL):
     """Number of singular values of M above ``tol * sigma_max``.
 
     The zero matrix has rank 0 at every tolerance.
     """
-    M = as_matrix(M)
-    if M.size == 0:
-        return 0
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return column_span(M, tol).rank
 
 
 def min_norm_solve(A, b, require_exact=False, tol=RANK_TOL):
@@ -157,14 +184,10 @@ class SpectrumInfo:
         Complex eigenvalues (conjugate pairs for real input).
     max_real_part : float
         max Re(lambda).
-    min_nonzero_abs_imag : float
-        min |Im(lambda)| over eigenvalues with nonzero imaginary part;
-        +inf when the spectrum is entirely real.
     """
 
     eigenvalues: np.ndarray
     max_real_part: float
-    min_nonzero_abs_imag: float
 
 
 def spectrum(M):
@@ -173,14 +196,7 @@ def spectrum(M):
     if M.shape[0] != M.shape[1]:
         raise ValueError("spectrum requires a square matrix")
     w = np.linalg.eigvals(M)
-    imag = np.abs(w.imag)
-    nonzero = imag[imag > 0.0]
-    min_imag = float(nonzero.min()) if nonzero.size else math.inf
-    return SpectrumInfo(
-        eigenvalues=w,
-        max_real_part=float(w.real.max()),
-        min_nonzero_abs_imag=min_imag,
-    )
+    return SpectrumInfo(eigenvalues=w, max_real_part=float(w.real.max()))
 
 
 def symmetric_part_max_eig(M):

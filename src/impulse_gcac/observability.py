@@ -11,7 +11,12 @@ Two kinds of quantities live here and are kept clearly apart:
 
 Every report records the horizon, the constant, and which of the two
 routes produced it.
+Rank decisions and Gramian constants are read from `linalg.column_span`;
+the rank search takes its blocks from a pull-back table and the adjoint
+readings their maps from a `spectral.Propagators` engine.
 """
+
+import itertools
 
 import math
 from dataclasses import dataclass
@@ -20,15 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    RANK_TOL,
     as_matrix,
+    column_span,
     mat_exp,
     numerical_rank,
     spectrum,
     symmetric_part_max_eig,
 )
 from .schedule import check_cycle, nu, time_at
-from .spectral import apply_adjoint_semigroup
+from .spectral import Propagators, _PullbackTable, apply_adjoint_semigroup
 
 __all__ = [
     "ObservabilityReport",
@@ -102,10 +107,6 @@ class HypothesisVerdict:
     omega_full: bool
 
 
-def _cyclic_gain(gains, j):
-    return gains[(j - 1) % len(gains)]
-
-
 def rank_condition(P, gains, sched, k_max):
     """Smallest horizon at which the shifted gain stack spans all components.
 
@@ -115,19 +116,31 @@ def rank_condition(P, gains, sched, k_max):
     scaling leaves every column span unchanged but keeps late, strongly
     decayed blocks from dropping below the rank tolerance.
     """
+    k_star, _ = _rank_search(P, gains, sched, k_max)
+    return k_star is not None, k_star
+
+
+def _rank_search(P, gains, sched, k_max):
+    """`rank_condition` as (k_star or None, null basis of the last stack).
+
+    The blocks come from a `_PullbackTable` at lambda_1 = 0. The null
+    basis, shape (n, n - rank), is empty at k_star; on failure it holds
+    the directions no block up to k_max can see.
+    """
     P = as_matrix(P)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     n = P.shape[0]
+    pull = _PullbackTable(P, 0.0, sched)
     blocks = []
     for j in range(1, k_max + 1):
-        Q = as_matrix(_cyclic_gain(gains, j), rows=n)
-        block = mat_exp(-P, time_at(sched, j)) @ Q
+        block = pull(j) @ as_matrix(gains[nu(sched, j) - 1], rows=n)
         scale = np.linalg.norm(block, 2)
         blocks.append(block / scale if scale > 0.0 else block)
-        if numerical_rank(np.hstack(blocks)) == n:
-            return True, j
-    return False, None
+        span = column_span(np.hstack(blocks))
+        if span.rank == n:
+            return j, span.null
+    return None, span.null
 
 
 def kalman_rank(P, gains):
@@ -156,14 +169,11 @@ def finite_obs_constant(P, gains, taus):
     if any(t <= 0.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("observation times must be positive and strictly increasing")
     blocks = [
-        mat_exp(-P, tau) @ as_matrix(_cyclic_gain(gains, j + 1), rows=P.shape[0])
-        for j, tau in enumerate(taus)
+        mat_exp(-P, tau) @ as_matrix(Q, rows=P.shape[0])
+        for tau, Q in zip(taus, itertools.cycle(gains))
     ]
-    stack = np.hstack(blocks)
-    sing = np.linalg.svd(stack, compute_uv=False)
-    n = P.shape[0]
-    deficient = stack.shape[1] < n or sing[0] == 0.0 or sing[n - 1] <= RANK_TOL * sing[0]
-    constant = math.inf if deficient else 1.0 / float(sing[n - 1]) ** 2
+    sigma_n = column_span(np.hstack(blocks)).sigma_n
+    constant = 1.0 / sigma_n**2 if sigma_n > 0.0 else math.inf
     return ObservabilityReport(k=len(taus), constant=constant, method="exact-gramian")
 
 
@@ -191,20 +201,15 @@ def _observation_sum(system, sched, state, k, final_time):
     return total
 
 
-def _adjoint_propagators(system, sched, k, final_time, modes):
-    """Adjoint flow over final_time - t_j for j = 0..k, as (matrix, decay) pairs.
+def _adjoint_propagators(system, sched, k, final, modes):
+    """Adjoint flow from t_j to t_final for j = 0..k, as (matrix, decay) pairs.
 
-    The decays cover the leading `modes` modes. Computed once per call and
-    shared by every batch of readings.
+    The transposes of `Propagators.to_final(final)`, decays cut to the
+    leading `modes` modes. Computed once per call and shared by every
+    batch of readings.
     """
-    lam = system.domain.eigenvalues()[:modes]
-    lam1 = system.first_eigenvalue
-    shifted = system.coupling.T - lam1 * np.eye(system.n)
-    out = []
-    for j in range(k + 1):
-        t = final_time - time_at(sched, j)
-        out.append((mat_exp(shifted, t), np.exp(-(lam - lam1) * t)))
-    return out
+    maps = Propagators(system, sched).to_final(final)[: k + 1]
+    return [(F.T, d[:modes]) for F, d in maps]
 
 
 def _batch_readings(system, sched, Z, adjoint):
@@ -212,7 +217,8 @@ def _batch_readings(system, sched, Z, adjoint):
 
     Z has shape (batch, n, modes) with modes <= N; the Gram weighting only
     needs the matching leading block. `adjoint` is the output of
-    `_adjoint_propagators` for these modes, horizon k and final time T.
+    `_adjoint_propagators` for these modes, horizon k and final time
+    T = t_final.
     Returns (lhs, obs) arrays of length batch, where lhs is the
     adjoint-flow norm at T and obs the summed controller readings at
     T - t_j, j = 1..k.
@@ -241,18 +247,10 @@ def _observation_kernel(system, sched, adjoint):
     A direction v is unobserved when every ``Q_{nu(j)}^T exp(P^T (T - t_j)) v``
     vanishes; the Gram weighting cannot rescue it because each support has
     positive mass on every mode. `adjoint` is the output of
-    `_adjoint_propagators` for final time T.
+    `_adjoint_propagators` for final time T = t_final.
     """
-    rows = [
-        system.gain(nu(sched, j)).T @ E for j, (E, _) in enumerate(adjoint[1:], 1)
-    ]
-    stacked = np.vstack(rows)
-    u, s, vt = np.linalg.svd(stacked)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    else:
-        rank = 0
-    return vt[rank:].T  # shape (n, n - rank)
+    cols = [E.T @ system.gain(nu(sched, j)) for j, (E, _) in enumerate(adjoint[1:], 1)]
+    return column_span(np.hstack(cols)).null  # shape (n, n - rank)
 
 
 def interpolation_estimate(system, sched, k, sample_count, seed=0):
@@ -274,8 +272,7 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
         raise ValueError("at least 100 samples are required")
     check_cycle(system, sched)
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    t_next = time_at(sched, k + 1)
-    adjoint = _adjoint_propagators(system, sched, k, t_next, system.domain.modes)
+    adjoint = _adjoint_propagators(system, sched, k, k + 1, system.domain.modes)
     ok, _ = rank_condition(system.coupling, gains, sched, k)
     if not ok:
         kernel = _observation_kernel(system, sched, adjoint)
@@ -332,9 +329,8 @@ def delta_obs_constant(
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     check_cycle(system, sched)
-    t_k = time_at(sched, k)
     pm = min(probe_modes, system.domain.modes)
-    adjoint = _adjoint_propagators(system, sched, k, t_k, pm)
+    adjoint = _adjoint_propagators(system, sched, k, k, pm)
     kernel = _observation_kernel(system, sched, adjoint)
     if kernel.size:
         surviving = np.linalg.norm(adjoint[0][0] @ kernel, 2)

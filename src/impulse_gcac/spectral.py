@@ -39,7 +39,6 @@ __all__ = [
     "Controller",
     "CoupledSystem",
     "Propagators",
-    "eigen_data",
     "overlap_matrix",
     "apply_semigroup",
     "apply_adjoint_semigroup",
@@ -83,15 +82,6 @@ class SpectralDomain:
         """Array of the retained eigenvalues lambda_1..lambda_N."""
         idx = np.arange(1, self.modes + 1, dtype=float)
         return (idx * math.pi / self.length) ** 2
-
-
-def eigen_data(domain, i):
-    """Eigenvalue and L2 normalization constant of mode i.
-
-    The eigenfunction is ``sqrt(2/L) sin(i pi x / L)``; the returned pair is
-    ``((i pi / L)^2, sqrt(2/L))``.
-    """
-    return domain.eigenvalue(i), math.sqrt(2.0 / domain.length)
 
 
 def overlap_matrix(domain, a, b):

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    RANK_TOL,
     UnreachableTargetError,
+    column_span,
     mat_exp,
     min_norm_solve,
     spectrum,
@@ -34,11 +34,11 @@ from .linalg import (
 )
 from .observability import (
     RankDeficiencyError,
+    _rank_search,
     finite_obs_constant,
-    rank_condition,
     semigroup_norm,
 )
-from .schedule import check_cycle, time_at
+from .schedule import check_cycle, nu, time_at
 from .spectral import (
     Propagators,
     _PullbackTable,
@@ -51,6 +51,7 @@ __all__ = [
     "ControlSequence",
     "SteeringResult",
     "HorizonExhaustedError",
+    "NonFiniteStateError",
     "simulate",
     "project_H1",
     "gramian_delta",
@@ -76,6 +77,10 @@ class HorizonExhaustedError(RuntimeError):
     def __init__(self, message, best_sup=math.inf):
         super().__init__(message)
         self.best_sup = best_sup
+
+
+class NonFiniteStateError(ArithmeticError):
+    """A propagated state or a bound overflowed to inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +185,18 @@ def simulate(system, sched, x0, controls, k, norms=False):
 
 
 def _propagate(props, state, impulses, k, norms=False):
-    """The loop of `simulate` on a prebuilt engine, from impulse 0 to k."""
-    trace = [(np.linalg.norm(state, axis=0), l2_norm(state))] if norms else None
-    for j in range(1, k + 1):
-        state = props.advance(state, j, impulses[j - 1] if j <= len(impulses) else None)
-        if norms:
-            trace.append((np.linalg.norm(state, axis=0), l2_norm(state)))
+    """The loop of `simulate` on a prebuilt engine, from impulse 0 to k.
+
+    Raises NonFiniteStateError when the final state has overflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [(np.linalg.norm(state, axis=0), l2_norm(state))] if norms else None
+        for j in range(1, k + 1):
+            state = props.advance(state, j, impulses[j - 1] if j <= len(impulses) else None)
+            if norms:
+                trace.append((np.linalg.norm(state, axis=0), l2_norm(state)))
+    if not np.all(np.isfinite(state)):
+        raise NonFiniteStateError(f"the state overflowed within {k} impulses")
     return (state, trace) if norms else state
 
 
@@ -203,14 +214,10 @@ def project_H1(system, state):
     return v, remainder
 
 
-def _cyclic(gains, j):
-    return gains[(j - 1) % len(gains)]
-
-
 def _shifted_blocks(P, gains, sched, k, lam1):
     """Blocks exp((lam1 I - P) t_j) Q_nu(j) for j = 1..k, from a pull-back table."""
     pull = _PullbackTable(P, lam1, sched)
-    return [pull(j) @ _cyclic(gains, j) for j in range(1, k + 1)]
+    return [pull(j) @ gains[nu(sched, j) - 1] for j in range(1, k + 1)]
 
 
 def gramian_delta(P, gains, sched, k_star, lam1=1.0):
@@ -233,35 +240,26 @@ def gramian_delta(P, gains, sched, k_star, lam1=1.0):
 def _gramian_ball(blocks, k_star):
     """`gramian_delta` of already assembled blocks."""
     S = np.hstack(blocks)
-    n = S.shape[0]
-    sing = np.linalg.svd(S, compute_uv=False)
-    if S.shape[1] < n or sing[0] == 0.0 or sing[n - 1] <= RANK_TOL * sing[0]:
+    span = column_span(S)
+    if span.rank < S.shape[0]:
         raise ValueError(
             "steering Gramian is singular: the gain stack does not span all "
             f"components at horizon {k_star}"
         )
-    M = S @ S.T
-    delta = float(sing[n - 1]) ** 2 / float(sing[0])
-    return M, delta
+    return S @ S.T, span.sigma_n**2 / span.sigma_max
 
 
-def _deficiency_witness(P, gains, sched, k_max):
-    """Unit direction no gain stack block can see, for rank failures.
+def _require_rank(system, sched, k, message):
+    """Smallest horizon <= k of full gain-stack rank, from the rank search.
 
-    Blocks are normalized like in `rank_condition`; a modest horizon cap
-    keeps the exponentials representable, which is harmless because a
-    span that is still deficient there stays deficient in the reported
-    range for every system the rank search rejects.
+    Raises RankDeficiencyError with `message` and, as witness, a unit
+    direction orthogonal to every searched block when there is none.
     """
-    n = P.shape[0]
-    blocks = []
-    for j in range(1, min(k_max, max(8, 2 * n * len(gains))) + 1):
-        block = mat_exp(-P, time_at(sched, j)) @ _cyclic(gains, j)
-        scale = np.linalg.norm(block, 2)
-        blocks.append(block / scale if scale > 0.0 else block)
-    u, s, _ = np.linalg.svd(np.hstack(blocks))
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
-    return u[:, min(rank, n - 1)]
+    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
+    k_star, null = _rank_search(system.coupling, gains, sched, k)
+    if k_star is None:
+        raise RankDeficiencyError(message, witness=null[:, 0])
+    return k_star
 
 
 def _spectral_guard(P, lam1):
@@ -315,8 +313,8 @@ def _chunked_mode1(system, sched, v, k_max):
     P = system.coupling
     lam1 = system.first_eigenvalue
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    ok, ok_k = rank_condition(P, gains, sched, k_max)
-    if not ok:
+    ok_k, _ = _rank_search(P, gains, sched, k_max)
+    if ok_k is None:
         raise HorizonExhaustedError(
             f"gain stack never reaches full rank within {k_max} impulses"
         )
@@ -396,14 +394,13 @@ def steer_first_mode(system, sched, v_target, k_max):
             certificate="exact",
         )
 
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     props = Propagators(system, sched)
     blocks = []
 
     def solution_at(k):
         while len(blocks) < k:
             j = len(blocks) + 1
-            blocks.append(props.pullback(j) @ _cyclic(gains, j))
+            blocks.append(props.pullback(j) @ system.gain(nu(sched, j)))
         return _exact_mode1_solution(blocks[:k], v)
 
     best_sup = math.inf
@@ -564,14 +561,9 @@ def null_steer(system, sched, x0, k_star):
         raise ValueError("null steering requires every support to be the full interval")
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
-    P = system.coupling
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    ok, _ = rank_condition(P, gains, sched, k_star)
-    if not ok:
-        raise RankDeficiencyError(
-            f"gain stack does not span all components at horizon {k_star}",
-            witness=_deficiency_witness(P, gains, sched, k_star),
-        )
+    _require_rank(
+        system, sched, k_star, f"gain stack does not span all components at horizon {k_star}"
+    )
 
     x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
     props = Propagators(system, sched)
@@ -635,17 +627,17 @@ def constrained_null_synthesize(system, sched, x0, k_max):
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
 
-    P = system.coupling
+    k_star = _require_rank(
+        system, sched, k_max, f"gain stack never spans all components within {k_max} impulses"
+    )
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    ok, k_star = rank_condition(P, gains, sched, k_max)
-    if not ok:
-        raise RankDeficiencyError(
-            f"gain stack never spans all components within {k_max} impulses",
-            witness=_deficiency_witness(P, gains, sched, k_max),
-        )
-
     taus = [time_at(sched, j) for j in range(1, k_star + 1)]
-    C = finite_obs_constant(P, gains, taus).constant
+    C = finite_obs_constant(system.coupling, gains, taus).constant
+    if math.isinf(C):
+        raise RuntimeError(
+            f"the observability Gramian at k_star = {k_star} is numerically "
+            "singular: the unnormalized gain stack falls below the rank tolerance"
+        )
     hbar = system.hbar
     growth = sum(
         semigroup_norm(system, sched.period - time_at(sched, j)) for j in range(hbar)
@@ -707,10 +699,7 @@ class _HorizonModel:
         self.back = [(F.T, d) for F, d in props.to_final(k)[1:]]
 
     def forward(self, x0, impulses):
-        state = x0
-        for j, u in enumerate(impulses, 1):
-            state = self.props.advance(state, j, u)
-        return state
+        return _propagate(self.props, x0, impulses, self.k)
 
     def gradient(self, final_state):
         """Per-impulse gradient of 0.5 * ||final state||^2."""
@@ -769,13 +758,9 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
             "the symmetric part of the coupling matrix must stay at or below "
             "the first diffusion eigenvalue for descent-based steering"
         )
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    ok, _ = rank_condition(system.coupling, gains, sched, k_max)
-    if not ok:
-        raise RankDeficiencyError(
-            f"gain stack does not span all components within {k_max} impulses",
-            witness=_deficiency_witness(system.coupling, gains, sched, k_max),
-        )
+    _require_rank(
+        system, sched, k_max, f"gain stack does not span all components within {k_max} impulses"
+    )
 
     x0 = np.asarray(x0, dtype=float)
     m, N = system.m, system.domain.modes

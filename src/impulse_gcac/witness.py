@@ -22,7 +22,7 @@ import numpy as np
 
 from .schedule import check_cycle, time_at
 from .spectral import Propagators, l2_norm, zero_state
-from .synthesis import _clip_unit, _HorizonModel, _lipschitz_estimate
+from .synthesis import NonFiniteStateError, _clip_unit, _HorizonModel, _lipschitz_estimate
 
 __all__ = [
     "InapplicableCertificateError",
@@ -133,38 +133,34 @@ def negative_bound(system, sched, epsilon0):
 
 
 def _gap_value(model, free, phi):
-    """Dual bound at one unit direction: pairing minus observation norms."""
+    """Dual bound at one unit direction, with the observations it subtracts."""
+    obs = model.gradient(phi)
     value = float(np.sum(free * phi))
-    for obs in model.gradient(phi):
-        value -= float(np.linalg.norm(obs))
-    return value
+    for y in obs:
+        value -= float(np.linalg.norm(y))
+    return value, obs
 
 
 def _ascend(model, free, phi, iters):
-    """Local ascent of the dual bound on the unit sphere, best wins."""
+    """Local ascent of the dual bound on the unit sphere, best wins.
+
+    The gradient of a summed observation norm is the control-to-state map
+    applied to the normalized observations, i.e. `model.forward` from zero.
+    """
     best_phi = phi
-    best_val = _gap_value(model, free, phi)
+    best_val, obs = _gap_value(model, free, phi)
+    zero = np.zeros_like(free)
     step = 0.5
     for _ in range(iters):
-        grad = free.copy()
-        for (F, decay), (gain, gram) in zip(model.back, model.jumps):
-            obs = gain.T @ ((F @ best_phi) * decay[None, :])
-            if gram is not None:
-                obs = obs @ gram
-            norm = float(np.linalg.norm(obs))
-            if norm == 0.0:
-                continue
-            # push the normalized observation back through the flow
-            bumped = gain @ (obs / norm if gram is None else (obs / norm) @ gram)
-            grad -= (F.T @ bumped) * decay[None, :]
-        cand = best_phi + step * grad
+        units = [y / norm if (norm := float(np.linalg.norm(y))) > 0.0 else y for y in obs]
+        cand = best_phi + step * (free - model.forward(zero, units))
         scale = float(np.linalg.norm(cand))
         if scale == 0.0:
             break
         cand /= scale
-        val = _gap_value(model, free, cand)
+        val, cand_obs = _gap_value(model, free, cand)
         if val > best_val:
-            best_val, best_phi = val, cand
+            best_val, best_phi, obs = val, cand, cand_obs
         else:
             step *= 0.5
             if step < 1e-6:
@@ -184,6 +180,9 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     the upper clamp keeps that true, since achieved is attained by a
     unit-ball control, and removes a bound above achieved by rounding
     alone when the bound is tight.
+
+    Raises NonFiniteStateError when the achieved residual or the bound
+    overflows.
     """
     check_cycle(system, sched)
     if k < 1:
@@ -225,10 +224,12 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
         phi = rng.standard_normal((n, N))
         candidates.append(phi / np.linalg.norm(phi))
 
-    values = [_gap_value(model, free, phi) for phi in candidates]
+    values = [_gap_value(model, free, phi)[0] for phi in candidates]
     order = np.argsort(values)[::-1]
     best = values[order[0]]
     # ascent-refine the three most promising directions
     for idx in order[:3]:
         best = max(best, _ascend(model, free, candidates[idx], 30))
+    if not (math.isfinite(best) and math.isfinite(achieved)):
+        raise NonFiniteStateError(f"the reachability gap at horizon {k} overflowed")
     return min(max(best, 0.0), achieved), achieved

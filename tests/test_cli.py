@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import impulse_gcac
 from impulse_gcac.cli import (
     Scenario,
     ScenarioError,
@@ -279,6 +284,44 @@ def test_gcac_beyond_k_max_exits_two(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["error"]["code"] == "horizon-exhausted"
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_null_synthesis_with_a_singular_gramian_exits_two(tmp_path):
+    # the normalized rank search finds k_star = 2, but the raw stack there
+    # has sigma_n / sigma_1 near 2e-14, so the observability constant is inf
+    doc = full_support_doc(coupling=[[-40.37, -0.157], [1.263, -38.70]], k_max=64)
+    doc["system"]["controllers"][0]["gain"] = [[-0.458], [0.220]]
+    doc["schedule"] = {"base_times": [0.704]}
+    doc["initial_state"] = {"entries": [[1, 1, 3.0], [2, 2, 1.0]]}
+    path = write_scenario(tmp_path, doc)
+    code = main(["synthesize-null", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"]["code"] == "synthesis-failed"
+    assert "k_star = 2" in report["error"]["message"]
+    assert "singular" in report["error"]["message"]
+
+
+def test_simulate_overflow_exits_one_with_non_finite_state(tmp_path):
+    doc = full_support_doc(coupling=[[3.0, 0.0], [0.0, 0.0]], horizon=400)
+    path = write_scenario(tmp_path, doc)
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"]["code"] == "non-finite-state"
+
+
+def test_running_the_cli_module_prints_no_runtime_warning(tmp_path):
+    src = str(Path(impulse_gcac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    scenario = str(bundled_scenario("appendix_c.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "impulse_gcac.cli", "check", "--scenario", scenario,
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("task", ["synthesize-gcac", "synthesize-null", "synthesize-local"])

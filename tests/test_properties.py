@@ -1,4 +1,5 @@
-"""Property tests: the propagator engine and the identities built on it.
+"""Property tests: the propagator engine, the span helper, and the
+identities and rank decisions built on them.
 
 Hypothesis runs these under the deterministic "tier1" profile registered
 in conftest.py. Systems are drawn from a seed plus a few structural
@@ -6,18 +7,29 @@ choices: the dimension, the number of controllers, how far the coupling
 spectrum stays below the first diffusion eigenvalue, and the period.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from impulse_gcac.linalg import mat_exp, min_norm_solve
-from impulse_gcac.schedule import ImpulseSchedule, time_at
+from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
+from impulse_gcac.observability import (
+    RankDeficiencyError,
+    _rank_search,
+    finite_obs_constant,
+    rank_condition,
+)
+from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
 from impulse_gcac.spectral import Propagators, random_state, zero_state
 from impulse_gcac.synthesis import (
     ControlSequence,
     _HorizonModel,
     _null_equations,
+    constrained_null_synthesize,
+    gramian_delta,
+    local_gcac_synthesize,
     null_steer,
     simulate,
 )
@@ -145,3 +157,120 @@ def test_stacked_null_solve_matches_per_mode_solves(case, k):
         xi = min_norm_solve(A[i], b[i], tol=1e-14)
         got = np.concatenate([u[:, i] for u in res.controls.impulses])
         assert np.linalg.norm(got - xi) <= 1e-9 * max(np.linalg.norm(xi), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# the span helper and the rank decisions read from it
+
+
+@st.composite
+def rank_cases(draw, deficient=None):
+    """(P, gains, sched) with single-column gains, so spans fill slowly.
+
+    A deficient case decouples component 1 from the others and gives it
+    no gain, so every gain stack misses it exactly. The symmetric part of
+    P, hence its spectrum, stays at or below 0.5.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 3))
+    hbar = draw(st.integers(1, 2))
+    if deficient is None:
+        deficient = draw(st.booleans())
+    period = draw(st.floats(0.05, 0.5))
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-0.5, 0.5, (n, n))
+    gains = [rng.standard_normal((n, 1)) for _ in range(hbar)]
+    if deficient:
+        raw[0, 1:] = raw[1:, 0] = 0.0
+        for Q in gains:
+            Q[0] = 0.0
+    top = float(np.linalg.eigvalsh(0.5 * (raw + raw.T))[-1])
+    P = raw - (top - 0.5) * np.eye(n)
+    fractions = np.sort(rng.uniform(0.2, 0.9, hbar - 1))
+    base = tuple(float(period * f) for f in fractions) + (period,)
+    return P, gains, ImpulseSchedule(base_times=base)
+
+
+def direct_block(P, gains, sched, j):
+    """exp(-P t_j) Q_nu(j) from one direct matrix exponential."""
+    return mat_exp(-P, time_at(sched, j)) @ gains[nu(sched, j) - 1]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9), st.integers(0, 4))
+def test_column_span_rank_is_the_singular_value_count(seed, n, p, r):
+    rng = np.random.default_rng(seed)
+    r = min(r, n, p)
+    S = rng.standard_normal((n, r)) @ rng.standard_normal((r, p)) * 10.0 ** rng.uniform(-6, 6)
+    s = np.linalg.svd(S, compute_uv=False)
+    old = 0 if s[0] == 0.0 else int(np.count_nonzero(s > RANK_TOL * s[0]))
+    span = column_span(S)
+    assert span.rank == old == numerical_rank(S)
+    # the helper's SVD also computes vectors, which can move the last bit
+    assert span.sigma_max == pytest.approx(s[0], rel=1e-12)
+    assert span.sigma_n == pytest.approx(s[n - 1] if old == n else 0.0, rel=1e-12)
+    assert span.null.shape == (n, n - old)
+    assert np.allclose(span.null.T @ span.null, np.eye(n - old), rtol=0.0, atol=1e-12)
+    assert np.linalg.norm(span.null.T @ S) <= 1e-8 * span.sigma_max
+
+
+@example(
+    case=(
+        np.array([[-40.37, -0.157], [1.263, -38.70]]),
+        [np.array([[-0.458], [0.220]])],
+        ImpulseSchedule(base_times=(0.704,)),
+    ),
+    k=2,
+)
+@given(rank_cases(), st.integers(1, 6))
+def test_gramian_constant_is_infinite_exactly_below_full_rank(case, k):
+    P, gains, sched = case
+    taus = [time_at(sched, j) for j in range(1, k + 1)]
+    raw = np.hstack([direct_block(P, gains, sched, j) for j in range(1, k + 1)])
+    deficient = numerical_rank(raw) < P.shape[0]
+    assert math.isinf(finite_obs_constant(P, gains, taus).constant) == deficient
+    if deficient:
+        with pytest.raises(ValueError, match="singular"):
+            gramian_delta(P, gains, sched, k, lam1=0.0)
+    else:
+        assert gramian_delta(P, gains, sched, k, lam1=0.0)[1] > 0.0
+
+
+@given(rank_cases())
+def test_rank_search_matches_direct_exponential_blocks(case):
+    P, gains, sched = case
+    n, k_max = P.shape[0], 2 * sched.hbar
+    blocks, direct = [], None
+    for j in range(1, k_max + 1):
+        B = direct_block(P, gains, sched, j)
+        blocks.append(B / np.linalg.norm(B, 2))
+        if numerical_rank(np.hstack(blocks)) == n:
+            direct = j
+            break
+    k_star, null = _rank_search(P, gains, sched, k_max)
+    assert k_star == direct
+    assert rank_condition(P, gains, sched, k_max) == (direct is not None, direct)
+    stack = np.hstack(blocks)
+    assert np.linalg.norm(null.T @ stack) <= 1e-8 * np.linalg.norm(stack, 2)
+
+
+@given(
+    rank_cases(deficient=True),
+    st.integers(1, 8),
+    st.sampled_from(["null", "constrained", "local"]),
+)
+def test_rank_failures_carry_a_witness_orthogonal_to_every_block(case, k, which):
+    P, gains, sched = case
+    system = make_system(P, gains, modes=6)
+    x0 = random_state(system, np.random.default_rng(k))
+    synthesize = {
+        "null": lambda: null_steer(system, sched, x0, k),
+        "constrained": lambda: constrained_null_synthesize(system, sched, x0, k),
+        "local": lambda: local_gcac_synthesize(system, sched, x0, 0.1, k),
+    }[which]
+    with pytest.raises(RankDeficiencyError) as err:
+        synthesize()
+    w = err.value.witness
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    for j in range(1, k + 1):
+        B = direct_block(P, gains, sched, j)
+        assert np.linalg.norm(w @ B) <= 1e-8 * np.linalg.norm(B)

@@ -12,7 +12,6 @@ from impulse_gcac.spectral import (
     SpectralDomain,
     apply_impulse,
     apply_semigroup,
-    eigen_data,
     l2_norm,
     overlap_matrix,
     random_state,
@@ -27,16 +26,12 @@ from impulse_gcac.spectral import (
 def test_eigen_data_unit_pi_interval():
     domain = SpectralDomain(length=math.pi, modes=8)
     for i in (1, 2, 5):
-        lam, scale = eigen_data(domain, i)
-        assert lam == pytest.approx(i**2, rel=1e-15)
-        assert scale == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
+        assert domain.eigenvalue(i) == pytest.approx(i**2, rel=1e-15)
 
 
 def test_eigen_data_general_length():
     domain = SpectralDomain(length=2.0, modes=4)
-    lam, scale = eigen_data(domain, 1)
-    assert lam == pytest.approx((math.pi / 2.0) ** 2, rel=1e-15)
-    assert scale == pytest.approx(1.0, rel=1e-15)
+    assert domain.eigenvalue(1) == pytest.approx((math.pi / 2.0) ** 2, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

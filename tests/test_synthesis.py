@@ -17,6 +17,7 @@ from impulse_gcac.spectral import (
 from impulse_gcac.synthesis import (
     ControlSequence,
     HorizonExhaustedError,
+    NonFiniteStateError,
     _chunked_mode1,
     constrained_null_synthesize,
     decay_horizon,
@@ -119,6 +120,14 @@ def test_simulate_rejects_cycle_mismatch():
     sched = ImpulseSchedule(base_times=(0.5, 1.0))
     with pytest.raises(ValueError, match="controllers"):
         simulate(system, sched, zero_state(system), ControlSequence(impulses=()), 1)
+
+
+def test_simulate_raises_on_overflow_under_growth():
+    # exp((3 - 1) * 400) overflows: a typed error, not a NaN state
+    system = make_system(np.diag([3.0, 0.0]), [np.eye(2)], modes=4)
+    x0 = random_state(system, np.random.default_rng(3))
+    with pytest.raises(NonFiniteStateError):
+        simulate(system, unit_schedule(), x0, ControlSequence(impulses=()), 400)
 
 
 def test_project_H1_splits_and_recombines_exactly():

@@ -5,8 +5,8 @@ exponential, the span of a column stack, minimum-norm least squares, and
 eigenvalue summaries. Everything operates on plain float ndarrays; inputs
 are validated once here so downstream modules can assume finite, correctly
 shaped matrices.
-`column_span` is the package's only SVD: every rank decision, its null
-direction and every Gramian constant are read from it.
+`column_span` makes the package's only rank decision: every rank, its null
+direction and every Gramian constant are read from its SVD.
 """
 
 import math
@@ -112,27 +112,23 @@ class Span(NamedTuple):
     null: np.ndarray
 
 
-def column_span(S, tol=RANK_TOL):
+def column_span(S):
     """Rank, extreme singular values and left null space of the stack S."""
     S = as_matrix(S)
     n, p = S.shape
     if S.size == 0:
         return Span(0, 0.0, 0.0, np.eye(n))
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     # the stacks are wide; the full left factor is only needed when p < n
     u, s, _ = np.linalg.svd(S, full_matrices=p < n)
-    rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
     sigma_n = float(s[n - 1]) if rank == n else 0.0
     return Span(rank, float(s[0]), sigma_n, u[:, rank:])
 
 
-def numerical_rank(M, tol=RANK_TOL):
-    """Number of singular values of M above ``tol * sigma_max``.
-
-    The zero matrix has rank 0 at every tolerance.
-    """
-    return column_span(M, tol).rank
+def numerical_rank(M):
+    """Number of singular values of M above ``RANK_TOL * sigma_max``; 0 for
+    the zero matrix."""
+    return column_span(M).rank
 
 
 def min_norm_solve(A, b, require_exact=False, tol=RANK_TOL):

@@ -50,8 +50,11 @@ __all__ = [
     "hypothesis_verdict",
 ]
 
-# grid resolution for the fitted interpolation exponent
+# the fitted interpolation exponent is fixed at theta = 1 - THETA_STEP
 THETA_STEP = 0.01
+# delta_obs_constant samples states on the leading modes only: the flow
+# damps higher modes, so the supremum lives there
+PROBE_MODES = 4
 
 
 class RankDeficiencyError(ValueError):
@@ -256,9 +259,10 @@ def _observation_kernel(system, sched, adjoint):
 def interpolation_estimate(system, sched, k, sample_count, seed=0):
     """Sampled fit of the interpolation inequality at horizon k.
 
-    Over `sample_count` random truncated states z the routine finds the
-    largest grid exponent theta in (0, 1) and the smallest constant C so
-    that ``||flow*(t_{k+1}) z|| <= C (sum of readings)^theta ||z||^(1-theta)``
+    The exponent is fixed at theta = 1 - THETA_STEP = 0.99; over
+    `sample_count` random truncated states z the routine finds the smallest
+    constant C so that
+    ``||flow*(t_{k+1}) z|| <= C (sum of readings)^theta ||z||^(1-theta)``
     holds on every sample, the readings being taken at times t_{k+1} - t_j.
     The result is an empirical report, not a certificate.
 
@@ -309,16 +313,13 @@ def _delta_required(lhs, norms, obs, delta):
     return out
 
 
-def delta_obs_constant(
-    system, sched, k, delta, sample_count=10000, probe_modes=4, seed=0
-):
+def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     """Sampled delta-approximate observability constant at horizon k.
 
     Fits the smallest D so that
     ``||flow*(t_k) z|| <= D * (sum of readings at t_k - t_j) + delta ||z||``
-    holds over unit states concentrated on the first `probe_modes` modes
-    (the flow damps higher modes, so the supremum lives there), refined by
-    a deterministic pattern search around the best sample. When a reading
+    holds over unit states concentrated on the first PROBE_MODES modes,
+    refined by a deterministic pattern search around the best sample. When a reading
     kernel direction survives the flow with norm above delta the true
     constant is infinite and +inf is returned.
 
@@ -329,7 +330,7 @@ def delta_obs_constant(
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     check_cycle(system, sched)
-    pm = min(probe_modes, system.domain.modes)
+    pm = min(PROBE_MODES, system.domain.modes)
     adjoint = _adjoint_propagators(system, sched, k, k, pm)
     kernel = _observation_kernel(system, sched, adjoint)
     if kernel.size:

@@ -11,8 +11,8 @@ system:
   previous routines with a Gramian-ball argument.
 
 Every routine returns a SteeringResult whose residual is the l2 norm of a
-state produced by `simulate`, so callers can re-verify any result by
-replaying the controls. `simulate`, the descent model and the steering
+state produced by the loop of `simulate`, so callers can re-verify any
+result by replaying the controls. `simulate`, the descent model and the steering
 and null-steering blocks take their maps from a `spectral.Propagators`
 engine built once per public call: hbar matrix exponentials per schedule,
 not one per impulse.
@@ -620,7 +620,9 @@ def constrained_null_synthesize(system, sched, x0, k_max):
     minimum-norm null control is guaranteed admissible, coasts to the
     next period boundary, and finishes with `null_steer` from there. The
     radius is 1/(M sqrt(C(k*))) where M bounds the flow's growth over one
-    period and C(k*) is the finite observability constant.
+    period and C(k*) is the finite observability constant. The coast and
+    the null phase continue the ball phase's state on the loop of
+    `simulate`, so a replay of the whole sequence reproduces the result.
     """
     check_cycle(system, sched)
     if not system.has_full_supports():
@@ -654,41 +656,39 @@ def constrained_null_synthesize(system, sched, x0, k_max):
     else:
         ball = gcac_synthesize(system, sched, x0, eps, k_max)
         prefix = list(ball.controls.impulses)
-        prefix += [np.zeros((system.m, system.domain.modes))] * (
-            ball.horizon_k - len(prefix)
-        )
         boundary = hbar * (ball.horizon_k // hbar + 1)
         if boundary + k_star > k_max:
             raise HorizonExhaustedError(
                 f"period alignment needs {boundary + k_star} impulses, over {k_max}"
             )
-        reached = simulate(
-            system, sched, x0, ControlSequence(impulses=tuple(prefix)), boundary
-        )
+        props = Propagators(system, sched)
+        reached = ball.final_state
+        for j in range(ball.horizon_k + 1, boundary + 1):
+            reached = props.advance(reached, j)
 
     tail = null_steer(system, sched, reached, k_star)
     prefix += [np.zeros((system.m, system.domain.modes))] * (boundary - len(prefix))
     controls = ControlSequence(impulses=tuple(prefix + list(tail.controls.impulses)))
-    k_total = boundary + k_star
-    final = simulate(system, sched, x0, controls, k_total)
     return SteeringResult(
         controls=controls,
-        horizon_k=k_total,
-        final_state=final,
-        residual=l2_norm(final),
+        horizon_k=boundary + k_star,
+        final_state=tail.final_state,
+        residual=tail.residual,
         certificate="exact",
         details={"ball_radius": eps, "period_bound": M, "obs_constant": C},
     )
 
 
 class _HorizonModel:
-    """Control-to-state map at one fixed horizon k, and its adjoint.
+    """Control-to-state map at one fixed horizon k, its adjoint and descent.
 
     Both sides come from one `Propagators` engine: `forward` is the loop
     of `simulate` (`Propagators.advance`), so it equals `simulate` bitwise
     for k impulses; `back` holds, per impulse j, the adjoint flow from t_j
     to t_k as the transpose of the engine's `to_final` map, with its
-    per-mode decay.
+    per-mode decay. Like `_propagate`, the maps, the gradient and the
+    descent run with numpy's overflow warnings off: an overflowed state
+    ends in NonFiniteStateError from `forward`.
     """
 
     def __init__(self, props, k):
@@ -696,7 +696,8 @@ class _HorizonModel:
         self.system = props.system
         self.k = k
         self.jumps = [props.jumps[(j - 1) % props.hbar] for j in range(1, k + 1)]
-        self.back = [(F.T, d) for F, d in props.to_final(k)[1:]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.back = [(F.T, d) for F, d in props.to_final(k)[1:]]
 
     def forward(self, x0, impulses):
         return _propagate(self.props, x0, impulses, self.k)
@@ -704,11 +705,33 @@ class _HorizonModel:
     def gradient(self, final_state):
         """Per-impulse gradient of 0.5 * ||final state||^2."""
         grads = []
-        for (F, decay), (gain, gram) in zip(self.back, self.jumps):
-            pulled = (F @ final_state) * decay[None, :]
-            y = gain.T @ pulled
-            grads.append(y if gram is None else y @ gram)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (F, decay), (gain, gram) in zip(self.back, self.jumps):
+                pulled = (F @ final_state) * decay[None, :]
+                y = gain.T @ pulled
+                grads.append(y if gram is None else y @ gram)
         return grads
+
+    def descend(self, x0, u, iters, rng):
+        """`iters` projected gradient steps of size 1/(1.05 L) from u.
+
+        Every step clips each impulse to the unit ball; L is estimated from
+        `rng`. Returns (residual, impulses, step) of the first iterate of
+        smallest final-state norm, the last iterate included.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            # power iteration approaches the true constant from below; the
+            # margin keeps the step at or under 1/L
+            step = 1.0 / (_lipschitz_estimate(self, rng) * 1.05)
+            best_res, best_u = math.inf, u
+            for i in range(iters + 1):
+                final = self.forward(x0, u)
+                res = l2_norm(final)
+                if res < best_res:
+                    best_res, best_u = res, u
+                if i < iters:
+                    u = [_clip_unit(x - step * g) for x, g in zip(u, self.gradient(final))]
+        return best_res, best_u, step
 
 
 def _clip_unit(u):
@@ -720,15 +743,14 @@ def _control_norm(impulses):
     return math.sqrt(sum(float(np.linalg.norm(u)) ** 2 for u in impulses))
 
 
-def _lipschitz_estimate(model, rng, iters=40):
-    """Top eigenvalue of (control map)^T (control map) by power iteration."""
+def _lipschitz_estimate(model, rng):
+    """Top eigenvalue of (control map)^T (control map) by 40 power steps."""
     m, N = model.system.m, model.system.domain.modes
     zero = zero_state(model.system)
     v = [rng.standard_normal((m, N)) for _ in range(model.k)]
     scale = _control_norm(v)
     v = [u / scale for u in v]
-    lam = 1.0
-    for _ in range(iters):
+    for _ in range(40):
         w = model.gradient(model.forward(zero, v))
         lam = _control_norm(w)
         if lam == 0.0:
@@ -740,12 +762,12 @@ def _lipschitz_estimate(model, rng, iters=40):
 def local_gcac_synthesize(system, sched, x0, eps, k_max):
     """Approximate steering with possibly local supports, by projected descent.
 
-    Minimizes the final-state norm over unit-ball impulse sequences at
-    doubling horizons, warm-starting each horizon from the last and
-    keeping the best iterate ever seen, so the reported residual never
-    increases as the horizon grows. Succeeds with certificate
-    'epsilon-ball' once the residual drops to eps; otherwise returns the
-    best attempt with certificate 'failed-horizon-exhausted'.
+    Minimizes the final-state norm over unit-ball impulse sequences by one
+    500-step `_HorizonModel.descend` per doubling horizon, warm-started from
+    the best iterate so far, which only a strictly smaller residual
+    replaces. Succeeds with certificate 'epsilon-ball' once the residual
+    drops to eps; otherwise returns the best attempt with certificate
+    'failed-horizon-exhausted'.
     """
     check_cycle(system, sched)
     if eps <= 0.0:
@@ -762,15 +784,13 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         system, sched, k_max, f"gain stack does not span all components within {k_max} impulses"
     )
 
-    x0 = np.asarray(x0, dtype=float)
-    m, N = system.m, system.domain.modes
+    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
     if l2_norm(x0) <= eps:
-        final = simulate(system, sched, x0, ControlSequence(impulses=()), 0)
         return SteeringResult(
             controls=ControlSequence(impulses=()),
             horizon_k=0,
-            final_state=final,
-            residual=l2_norm(final),
+            final_state=x0,
+            residual=l2_norm(x0),
             certificate="epsilon-ball",
         )
 
@@ -790,28 +810,13 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     steps = {}
     history = {}
     props = Propagators(system, sched)
+    shape = (system.m, system.domain.modes)
     for k in horizons:
         model = _HorizonModel(props, k)
-        u = [x.copy() for x in best_u] + [np.zeros((m, N))] * (k - len(best_u))
-        # power iteration approaches the true constant from below; the
-        # margin keeps the step at or under 1/L
-        L = _lipschitz_estimate(model, rng) * 1.05
-        step = 1.0 / L
-        steps[k] = step
-        for _ in range(iterations):
-            final = model.forward(x0, u)
-            res = l2_norm(final)
-            if res < best_res:
-                best_res = res
-                best_u = [x.copy() for x in u]
-                best_k = k
-            grads = model.gradient(final)
-            u = [_clip_unit(x - step * g) for x, g in zip(u, grads)]
-        final = model.forward(x0, u)
-        if l2_norm(final) < best_res:
-            best_res = l2_norm(final)
-            best_u = [x.copy() for x in u]
-            best_k = k
+        u = best_u + [np.zeros(shape) for _ in range(k - len(best_u))]
+        res, impulses, steps[k] = model.descend(x0, u, iterations, rng)
+        if res < best_res:
+            best_res, best_u, best_k = res, impulses, k
         history[k] = best_res
         if best_res <= eps:
             break

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import check_cycle, time_at
-from .spectral import Propagators, l2_norm, zero_state
-from .synthesis import NonFiniteStateError, _clip_unit, _HorizonModel, _lipschitz_estimate
+from .spectral import Propagators, apply_semigroup, l2_norm, zero_state
+from .synthesis import NonFiniteStateError, _HorizonModel
 
 __all__ = [
     "InapplicableCertificateError",
@@ -172,39 +172,31 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     """Certified residual floor at horizon k versus the best attempt.
 
     Returns (lower_bound, achieved). achieved is the smallest final-state
-    norm found by projected gradient descent over unit-ball impulses at
-    exactly k impulses; lower_bound is the best dual bound over candidate
-    directions (coupling eigendirections on mode 1, the free final state,
-    and random unit states refined by ascent), clamped to [0, achieved].
+    norm that `grad_iters` steps of `_HorizonModel.descend` from the zero
+    control reach at exactly k impulses; lower_bound is the best dual bound
+    over candidate directions (coupling eigendirections on mode 1, the
+    free final state, and random unit states refined by ascent), clamped
+    to [0, achieved].
     Every constrained control sequence satisfies residual >= lower_bound;
     the upper clamp keeps that true, since achieved is attained by a
     unit-ball control, and removes a bound above achieved by rounding
     alone when the bound is tight.
 
-    Raises NonFiniteStateError when the achieved residual or the bound
-    overflows.
+    x0 must have shape (n, N). Raises NonFiniteStateError when a
+    propagated state, the achieved residual or the bound overflows.
     """
     check_cycle(system, sched)
     if k < 1:
         raise ValueError("horizon must be at least 1")
     if grad_iters < 1:
         raise ValueError("grad_iters must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
     n, m, N = system.n, system.m, system.domain.modes
     model = _HorizonModel(Propagators(system, sched), k)
     rng = np.random.default_rng(seed)
 
     # primal: fixed-horizon constrained descent from the zero control
-    u = [np.zeros((m, N)) for _ in range(k)]
-    L = _lipschitz_estimate(model, rng) * 1.05
-    step = 1.0 / L
-    achieved = math.inf
-    for _ in range(grad_iters):
-        final = model.forward(x0, u)
-        achieved = min(achieved, l2_norm(final))
-        grads = model.gradient(final)
-        u = [_clip_unit(x - step * g) for x, g in zip(u, grads)]
-    achieved = min(achieved, l2_norm(model.forward(x0, u)))
+    achieved, _, _ = model.descend(x0, [np.zeros((m, N)) for _ in range(k)], grad_iters, rng)
 
     # dual: candidate unit directions
     free = model.forward(x0, [np.zeros((m, N))] * k)

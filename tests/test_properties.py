@@ -1,5 +1,5 @@
 """Property tests: the propagator engine, the span helper, and the
-identities and rank decisions built on them.
+identities, rank decisions and synthesizer contracts built on them.
 
 Hypothesis runs these under the deterministic "tier1" profile registered
 in conftest.py. Systems are drawn from a seed plus a few structural
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
@@ -22,17 +22,20 @@ from impulse_gcac.observability import (
     rank_condition,
 )
 from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
-from impulse_gcac.spectral import Propagators, random_state, zero_state
+from impulse_gcac.spectral import Propagators, l2_norm, random_state, zero_state
 from impulse_gcac.synthesis import (
+    BUDGET_SLACK,
     ControlSequence,
     _HorizonModel,
     _null_equations,
     constrained_null_synthesize,
+    gcac_synthesize,
     gramian_delta,
     local_gcac_synthesize,
     null_steer,
     simulate,
 )
+from impulse_gcac.witness import reachability_gap
 
 from conftest import make_system
 
@@ -42,20 +45,25 @@ LAM1 = 1.0  # first diffusion eigenvalue on (0, pi)
 
 
 @st.composite
-def strict_systems(draw, local=False, modes=6):
+def strict_systems(draw, local=False, modes=6, dissipative=False, periods=(0.02, 0.25)):
     """(system, sched) with every coupling eigenvalue strictly below LAM1.
 
     Coupling entries lie in [-0.5, 0.5] before the shift and the period in
-    [0.02, 0.25], so pull-back maps up to 512 impulses stay representable.
+    [0.02, 0.25] by default, so pull-back maps up to 512 impulses stay
+    representable. With dissipative=True the symmetric part of the
+    coupling, not only its spectrum, stays strictly below LAM1.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 3))
     hbar = draw(st.integers(1, 2))
     margin = draw(st.floats(0.01, 1.0))
-    period = draw(st.floats(0.02, 0.25))
+    period = draw(st.floats(*periods))
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-0.5, 0.5, (n, n))
-    top = float(np.linalg.eigvals(raw).real.max())
+    if dissipative:
+        top = float(np.linalg.eigvalsh(0.5 * (raw + raw.T))[-1])
+    else:
+        top = float(np.linalg.eigvals(raw).real.max())
     P = raw - (top - (LAM1 - margin)) * np.eye(n)
     gains = [rng.standard_normal((n, n)) for _ in range(hbar)]
     supports = None
@@ -143,6 +151,60 @@ def test_gradient_is_the_adjoint_of_the_forward_map(case, k):
     controls = ControlSequence(tuple(u), constrained=False)
     replay = simulate(system, sched, zero_state(system), controls, k)
     assert np.array_equal(forward, replay)
+
+
+@given(strict_systems(local=True), st.integers(1, 12))
+def test_gradient_matches_central_differences(case, k):
+    system, sched = case
+    model = _HorizonModel(Propagators(system, sched), k)
+    rng = np.random.default_rng(k)
+    x0 = random_state(system, rng)
+    shape = (system.m, system.domain.modes)
+    u = [rng.standard_normal(shape) for _ in range(k)]
+    d = [rng.standard_normal(shape) for _ in range(k)]
+
+    def energy(t):
+        return 0.5 * l2_norm(model.forward(x0, [p + t * q for p, q in zip(u, d)])) ** 2
+
+    # the energy is quadratic in t: the central difference is exact up to rounding
+    h = 1e-3
+    central = (energy(h) - energy(-h)) / (2.0 * h)
+    grads = model.gradient(model.forward(x0, u))
+    exact = sum(float(np.sum(g * q)) for g, q in zip(grads, d))
+    scale = sum(np.linalg.norm(g) * np.linalg.norm(q) for g, q in zip(grads, d))
+    assert abs(central - exact) <= 1e-7 * (scale + energy(0.0) / h)
+
+
+@settings(max_examples=5)
+@pytest.mark.parametrize("which", ["gcac", "constrained", "local"])
+@given(case=st.data(), norm=st.floats(0.1, 3.0))
+def test_synthesized_sequences_stay_in_the_unit_ball_and_replay_bitwise(which, case, norm):
+    local = which == "local"
+    system, sched = case.draw(
+        strict_systems(local=local, dissipative=local, periods=(0.3, 1.0))
+    )
+    x0 = random_state(system, np.random.default_rng(7), norm=norm)
+    synthesize = {
+        "gcac": lambda: gcac_synthesize(system, sched, x0, 0.1, 400),
+        "constrained": lambda: constrained_null_synthesize(system, sched, x0, 400),
+        "local": lambda: local_gcac_synthesize(system, sched, x0, 0.1, 8),
+    }[which]
+    res = synthesize()
+    assert res.controls.constrained
+    assert res.controls.max_norm() <= 1.0 + BUDGET_SLACK
+    assert res.horizon_k <= (8 if local else 400)
+    replay = simulate(system, sched, x0, res.controls, res.horizon_k)
+    assert np.array_equal(res.final_state, replay)
+    assert res.residual == l2_norm(res.final_state)
+
+
+@given(strict_systems(local=True), st.integers(1, 6), st.floats(0.1, 4.0))
+def test_reachability_gap_brackets_the_residual(case, k, norm):
+    system, sched = case
+    x0 = random_state(system, np.random.default_rng(k), norm=norm)
+    lower, achieved = reachability_gap(system, sched, x0, k, 10)
+    assert math.isfinite(lower) and math.isfinite(achieved)
+    assert 0.0 <= lower <= achieved
 
 
 @given(strict_systems(modes=12), st.integers(1, 6))

@@ -588,6 +588,13 @@ def test_local_gcac_rejects_non_dissipative_coupling():
         local_gcac_synthesize(system, unit_schedule(), zero_state(system), 0.1, 8)
 
 
+def test_local_gcac_rejects_a_mis_shaped_initial_state():
+    # an (n, 1) state would broadcast across all N modes of the flow
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], supports=[(0.5, 2.5)], modes=8)
+    with pytest.raises(ValueError, match="state must have shape"):
+        local_gcac_synthesize(system, unit_schedule(), np.ones((2, 1)), 0.1, 8)
+
+
 def test_local_gcac_rejects_rank_deficient_gains():
     system = two_component_invariant_system(modes=8)
     x0 = zero_state(system)

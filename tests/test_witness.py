@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from impulse_gcac.spectral import l2_norm, random_state, zero_state
+from impulse_gcac.synthesis import NonFiniteStateError
 from impulse_gcac.witness import NegativeCertificate, negative_bound, reachability_gap
 
 from conftest import make_system, two_component_invariant_system, unit_schedule
@@ -139,3 +140,19 @@ def test_gap_bound_never_exceeds_the_achieved_residual():
         lower, achieved = reachability_gap(system, unit_schedule(), x0, k, 30)
         assert 0.0 < lower <= achieved
         assert lower == pytest.approx(achieved, rel=1e-9)
+
+
+def test_gap_rejects_a_mis_shaped_initial_state():
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], supports=[(0.5, 2.5)], modes=8)
+    with pytest.raises(ValueError, match="state must have shape"):
+        reachability_gap(system, unit_schedule(), np.ones((2, 1)), 2, 5)
+
+
+def test_gap_under_growth_overflows_into_the_typed_error():
+    # exp(2 t) growth overflows the gradient (k = 300) or the maps to the
+    # final impulse (k = 400); no numpy warning may come before the error
+    system = make_system(np.diag([3.0, 0.0]), [np.eye(2)], modes=8)
+    x0 = random_state(system, np.random.default_rng(3))
+    for k in (300, 400):
+        with pytest.raises(NonFiniteStateError):
+            reachability_gap(system, unit_schedule(), x0, k, 5)

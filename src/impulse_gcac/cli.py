@@ -73,6 +73,9 @@ _CONTROLLER_KEYS = {"gain", "support"}
 _PARAMETER_KEYS = {"eps", "k_max", "k_star", "epsilon0", "horizon", "seed", "delta", "out"}
 
 _DEFAULT_MODES = 32
+# every controller holds an N x N Gram matrix, 128 MiB at N = 4096; larger
+# orders end in a bare MemoryError, and the benchmark peaks at N = 512
+_MAX_MODES = 4096
 _DEFAULT_K_MAX = 64
 
 
@@ -122,11 +125,13 @@ def _as_number(value, path, positive=False, code="invariant-violation"):
     return out
 
 
-def _as_int(value, path, minimum):
+def _as_int(value, path, minimum, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail("invariant-violation", path, "expected an integer")
     if value < minimum:
         _fail("invariant-violation", path, f"must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        _fail("invariant-violation", path, f"must be at most {maximum}")
     return value
 
 
@@ -165,7 +170,7 @@ def _build_system(raw, modes_override):
     modes = raw.get("modes", _DEFAULT_MODES)
     if modes_override is not None:
         modes = modes_override
-    modes = _as_int(modes, "system.modes", minimum=1)
+    modes = _as_int(modes, "system.modes", minimum=1, maximum=_MAX_MODES)
     coupling = _matrix(raw.get("coupling"), "system.coupling")
     n = len(coupling)
     if len(coupling[0]) != n:

@@ -21,10 +21,8 @@ error of order 1/N documented and measured in the tests.
 Impulse times repeat with the schedule's period, so the flow between two
 consecutive impulses takes only hbar distinct forms. `Propagators` builds
 them once per schedule: the loop of `simulate` and the maps from each
-impulse to the final time are products of these per-slot step maps, and
-the pull-back maps ``exp((lambda_1 I - P) t_j)`` are a per-slot pull-back
-times a power of the pull-back over one period. `apply_semigroup` remains
-the one-shot flow over an arbitrary time.
+impulse to the final time are products of these per-slot step maps.
+`apply_semigroup` remains the one-shot flow over an arbitrary time.
 """
 
 import math
@@ -313,7 +311,10 @@ class _PullbackTable:
     which is the slot map of r = hbar. So a table costs hbar matrix
     exponentials; the powers of Psi are extended on demand, one product
     each. A power that overflows turns into inf or nan entries, which the
-    finiteness checks downstream reject.
+    finiteness checks downstream reject. Used by the rank search
+    (`observability._rank_search`), `synthesis.gramian_delta` and the
+    Gramian-ball chunks of `synthesis._chunked_mode1`; steering itself
+    works in the final-time frame of `Propagators.to_final`.
     """
 
     def __init__(self, P, lam1, sched):
@@ -337,11 +338,10 @@ class Propagators:
     step map ``exp((P - lambda_1 I) D_r)`` and the per-mode decay
     ``exp(-(lambda - lambda_1) D_r)`` over ``D_r = b_r - b_{r-1}`` (b_0 = 0),
     plus the controller's gain and Gram matrix (None on a full support).
-    `advance` is the one flow-and-jump step of every forward loop,
+    `advance` is the one flow-and-jump step of every forward loop, and
     `to_final` the maps from each impulse to a final impulse (adjoint maps
-    are their transposes), and `pullback` the lazily extended pull-back
-    table. Construction costs hbar matrix exponentials; an engine lives
-    for one call and is never cached beyond it.
+    are their transposes). Construction costs hbar matrix exponentials; an
+    engine lives for one call and is never cached beyond it.
     """
 
     def __init__(self, system, sched):
@@ -349,7 +349,6 @@ class Propagators:
         lam1 = lam[0]
         shifted = system.coupling - lam1 * np.eye(system.n)
         self.system = system
-        self.sched = sched
         self.hbar = sched.hbar
         self.steps = []
         self.jumps = []
@@ -360,7 +359,6 @@ class Propagators:
             gram = None if system._full[r - 1] else system.overlap(r)
             self.jumps.append((system.gain(r), gram))
             prev = b
-        self._pullbacks = None
 
     def advance(self, state, j, u=None):
         """State just after impulse j from the state just after impulse j - 1.
@@ -391,14 +389,6 @@ class Propagators:
             d = d * decay
             out.append((F, d))
         return out[::-1]
-
-    def pullback(self, j):
-        """``exp((lambda_1 I - P) t_j)`` for j >= 1, from a `_PullbackTable`."""
-        if self._pullbacks is None:
-            self._pullbacks = _PullbackTable(
-                self.system.coupling, self.system.first_eigenvalue, self.sched
-            )
-        return self._pullbacks(j)
 
 
 def l2_norm(state):

@@ -283,25 +283,6 @@ def _mode1_controls(system, xi_list):
     return impulses
 
 
-def _exact_mode1_solution(blocks, v):
-    """Min-l2-norm exact solution of sum_j S_j xi_j = -v, or None.
-
-    The stack is scaled to unit spectral norm before the solve; the
-    solution set is unchanged and the conditioning no longer depends on
-    how much the flow has amplified late blocks.
-    """
-    S = np.hstack(blocks)
-    scale = np.linalg.norm(S, 2)
-    if scale == 0.0:
-        return None
-    try:
-        flat = min_norm_solve(S / scale, -np.asarray(v) / scale, require_exact=True)
-    except UnreachableTargetError:
-        return None
-    m = blocks[0].shape[1]
-    return [flat[j * m : (j + 1) * m] for j in range(len(blocks))]
-
-
 def _chunked_mode1(system, sched, v, k_max):
     """Greedy Gramian-ball steering of a mode-1 target, one span at a time.
 
@@ -357,11 +338,19 @@ def _chunked_mode1(system, sched, v, k_max):
 def steer_first_mode(system, sched, v_target, k_max):
     """Drive the mode-1 coefficient to zero with unit-ball impulses.
 
-    Looks for the smallest horizon at which the minimum-l2-norm exact
-    steering of -v_target keeps every impulse inside the unit ball:
-    horizons double until one is admissible, then the bracket is searched
-    for the first admissible count. If doubling exhausts k_max, targets
-    are consumed in Gramian-ball chunks span by span instead.
+    Looks for the smallest horizon k at which the minimum-l2-norm exact
+    steering keeps every impulse inside the unit ball, up to the relative
+    `BUDGET_SLACK` that `ControlSequence` accepts: horizons double until
+    one is admissible, then the bracket is searched for the first
+    admissible count. If doubling exhausts k_max, targets are consumed in
+    Gramian-ball chunks span by span instead.
+
+    The equations are posed at the final time t_k, in the engine's frame:
+    ``sum_j F_j Q_nu(j) xi_j = -F_0 v_target`` with F_j the lambda_1-shifted
+    flow from t_j to t_k (`_final_stack`). Pulling them back to time 0
+    multiplies both sides by the invertible F_0^{-1}, so the solution set
+    and its minimum-norm element are the same, but the final-time blocks
+    never grow exponentially, whatever eigenvalues P has below lambda_1.
 
     Requires full actuator supports and a coupling spectrum with real
     parts at most the first diffusion eigenvalue.
@@ -377,9 +366,7 @@ def steer_first_mode(system, sched, v_target, k_max):
         raise ValueError("mode-1 steering requires every support to be the full interval")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    P = system.coupling
-    lam1 = system.first_eigenvalue
-    _spectral_guard(P, lam1)
+    _spectral_guard(system.coupling, system.first_eigenvalue)
     v = np.asarray(v_target, dtype=float).reshape(-1)
     if v.shape[0] != system.n:
         raise ValueError(f"target must have {system.n} components")
@@ -395,24 +382,28 @@ def steer_first_mode(system, sched, v_target, k_max):
         )
 
     props = Propagators(system, sched)
-    blocks = []
+    m = system.m
 
     def solution_at(k):
-        while len(blocks) < k:
-            j = len(blocks) + 1
-            blocks.append(props.pullback(j) @ system.gain(nu(sched, j)))
-        return _exact_mode1_solution(blocks[:k], v)
+        """Min-l2-norm exact solution of sum_j F_j Q_nu(j) xi_j = -F_0 v and
+        its largest impulse norm, or None."""
+        to_final, S = _final_stack(props, k)
+        try:
+            flat = min_norm_solve(S, -(to_final[0][0] @ v), require_exact=True)
+        except UnreachableTargetError:
+            return None
+        xi = [flat[j * m : (j + 1) * m] for j in range(k)]
+        return xi, max(float(np.linalg.norm(x)) for x in xi)
 
     best_sup = math.inf
     accepted = None
     k = 1
     while True:
-        xi = solution_at(k)
-        if xi is not None:
-            sup = max(float(np.linalg.norm(x)) for x in xi)
-            best_sup = min(best_sup, sup)
-            if sup <= 1.0:
-                accepted = (k, xi)
+        found = solution_at(k)
+        if found is not None:
+            best_sup = min(best_sup, found[1])
+            if found[1] <= 1.0 + BUDGET_SLACK:
+                accepted = (k, found[0])
                 break
         if k == k_max:
             break
@@ -424,8 +415,8 @@ def steer_first_mode(system, sched, v_target, k_max):
         while lo < hi:
             mid = (lo + hi) // 2
             cand = solution_at(mid)
-            if cand is not None and max(float(np.linalg.norm(x)) for x in cand) <= 1.0:
-                hi, xi = mid, cand
+            if cand is not None and cand[1] <= 1.0 + BUDGET_SLACK:
+                hi, xi = mid, cand[0]
             else:
                 lo = mid + 1
         xi_list, k_used = xi, hi
@@ -464,7 +455,8 @@ def decay_horizon(system, sched, remainder, eps, min_index=0, k_max=None):
     then decay strictly faster than the flow's operator norm, so the
     index is finite whenever the coupling spectrum stays at or below the
     first diffusion eigenvalue. Each index is checked with the one-shot
-    flow over t_k.
+    flow over t_k. A standalone estimate: `gcac_synthesize` does not call
+    it, it coasts on the engine's step maps instead.
 
     Raises
     ------
@@ -492,10 +484,11 @@ def decay_horizon(system, sched, remainder, eps, min_index=0, k_max=None):
 def gcac_synthesize(system, sched, x0, eps, k_max):
     """Steer x0 into the eps-ball with unit-ball impulses, full supports.
 
-    Splits x0 into its mode-1 part and the rest, cancels the mode-1 part
-    exactly with `steer_first_mode`, then coasts until the remaining
-    modes have decayed below eps. The returned certificate is
-    'epsilon-ball' and the horizon never exceeds k_max: running out of
+    Cancels the mode-1 part of x0 exactly with `steer_first_mode`, then
+    coasts on the engine's step maps, one impulse index at a time, until
+    the whole state has decayed into the eps-ball; the returned state is
+    the loop of `simulate` at that horizon, bit for bit. The certificate
+    is 'epsilon-ball' and the horizon never exceeds k_max: running out of
     impulses, in the steering phase or while coasting, raises
     HorizonExhaustedError.
     """
@@ -506,23 +499,15 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
 
-    x0 = np.asarray(x0, dtype=float)
-    v, remainder = project_H1(system, x0)
+    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    v, _ = project_H1(system, x0)
+    controls, k = ControlSequence(impulses=()), 0
     if float(np.linalg.norm(v)) > 0.0:
         steer = steer_first_mode(system, sched, v, k_max)
-        xi_impulses = list(steer.controls.impulses)
-        k_steer = steer.horizon_k
-    else:
-        xi_impulses = []
-        k_steer = 0
+        controls, k = steer.controls, steer.horizon_k
 
-    k = decay_horizon(system, sched, remainder, eps, min_index=k_steer, k_max=k_max)
-    controls = ControlSequence(impulses=tuple(xi_impulses))
     props = Propagators(system, sched)
-    final = _propagate(props, apply_semigroup(system, x0, 0.0), controls.impulses, k)
-    # stepwise flow differs from the one-shot flow by rounding only; extra
-    # impulses of decay absorb it, each one step of the same loop, so the
-    # state stays bit-identical to simulate at the new horizon
+    final = _propagate(props, x0, controls.impulses, k)
     while (residual := l2_norm(final)) > eps:
         if k >= k_max:
             raise HorizonExhaustedError(
@@ -592,21 +577,31 @@ def null_steer(system, sched, x0, k_star):
     )
 
 
+def _final_stack(props, k):
+    """The engine's maps to impulse k and the final-time gain stack.
+
+    Returns ``(to_final, S)`` with to_final = ``props.to_final(k)`` and S,
+    shape (n, k m), whose block j is the lam1-shifted flow from t_j to t_k
+    applied to Q_nu(j). This final-time form keeps every entry
+    representable: blocks carry decay, never growth.
+    """
+    to_final = props.to_final(k)
+    S = np.hstack(
+        [F @ props.jumps[(j - 1) % props.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
+    )
+    return to_final, S
+
+
 def _null_equations(props, x0, k):
     """Per-mode null steering equations ``A_i xi_i = b_i``, stacked over modes.
 
-    A has shape (N, n, k m): block j of A_i is the lam1-shifted flow from
-    t_j to t_k applied to Q_nu(j), times the decay of mode i relative to
-    mode 1 over that time. This final-time form keeps every entry
-    representable: blocks carry decay, never growth. b, shape (N, n), is
-    minus the free final state, mode by mode.
+    A has shape (N, n, k m): A_i is the `_final_stack` with block j scaled
+    by the decay of mode i relative to mode 1 from t_j to t_k. b, shape
+    (N, n), is minus the free final state, mode by mode.
     """
     system = props.system
-    to_final = props.to_final(k)
+    to_final, blocks = _final_stack(props, k)
     F0, d0 = to_final[0]
-    blocks = np.hstack(
-        [F @ props.jumps[(j - 1) % props.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
-    )
     gaps = np.repeat(np.array([d for _, d in to_final[1:]]), system.m, axis=0)
     A = blocks[None, :, :] * gaps.T[:, None, :]
     b = -((F0 @ x0) * d0[None, :]).T

@@ -78,6 +78,16 @@ def test_omitted_support_defaults_to_the_full_interval(tmp_path):
     assert resolved == [0.0, math.pi]
 
 
+def test_truncation_order_above_the_cap_is_rejected_before_allocation(tmp_path, capsys):
+    path = write_scenario(tmp_path, full_support_doc())
+    code = main(["check", "--scenario", str(path), "--modes", "1000000", "--out", str(tmp_path)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "invariant-violation"
+    assert error["message"].startswith("system.modes: must be at most 4096")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_gain_is_a_dimension_mismatch(tmp_path):
     doc = full_support_doc()
     del doc["system"]["controllers"][0]["gain"]
@@ -200,6 +210,42 @@ def test_rerunning_an_emitted_report_is_bit_identical(tmp_path):
     a = json.loads((first / "report.json").read_text())
     b = json.loads((second / "report.json").read_text())
     assert a["result"] == b["result"]
+
+
+def rotation_doc():
+    """Full-support rotation coupling on a short period: every synthesis exits 0."""
+    doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)
+    doc["schedule"] = {"base_times": [0.3]}
+    return doc
+
+
+RERUN_DOCS = {
+    "check": full_support_doc,
+    "observability": lambda: full_support_doc(delta=0.5),
+    "synthesize-null": rotation_doc,
+    "synthesize-local": rotation_doc,
+    # a growth coupling, which the negative certificate needs
+    "witness": lambda: full_support_doc(coupling=[[1.5, 0.0], [0.0, 0.0]], epsilon0=1.0),
+    "simulate": lambda: {
+        **full_support_doc(modes=3, horizon=2),
+        "controls": [[[0.2, 0.0, 0.1], [0.0, -0.3, 0.0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("task", sorted(RERUN_DOCS))
+def test_rerunning_any_task_from_its_report_is_bit_identical(tmp_path, task):
+    # synthesize-gcac is covered by the test above
+    path = write_scenario(tmp_path, RERUN_DOCS[task]())
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([task, "--scenario", str(path), "--out", str(first)]) == 0
+    assert main([task, "--scenario", str(first / "report.json"), "--out", str(second)]) == 0
+    a = json.loads((first / "report.json").read_text())
+    b = json.loads((second / "report.json").read_text())
+    assert a["result"] == b["result"]
+    assert ("files" in a) == (task in ("synthesize-null", "synthesize-local", "simulate"))
+    if "files" in a:
+        assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes()
 
 
 def test_simulate_with_embedded_controls_matches_the_library(tmp_path):

@@ -22,11 +22,18 @@ from impulse_gcac.observability import (
     rank_condition,
 )
 from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
-from impulse_gcac.spectral import Propagators, l2_norm, random_state, zero_state
+from impulse_gcac.spectral import (
+    Propagators,
+    _PullbackTable,
+    l2_norm,
+    random_state,
+    zero_state,
+)
 from impulse_gcac.synthesis import (
     BUDGET_SLACK,
     ControlSequence,
     _HorizonModel,
+    _final_stack,
     _null_equations,
     constrained_null_synthesize,
     gcac_synthesize,
@@ -102,10 +109,11 @@ def test_engine_maps_match_direct_exponentials(case, k):
     # pull-backs: the first period against direct mat_exp, and out to k
     # against a high-precision oracle (direct mat_exp itself drifts to
     # about 4e-11 at t_512 for n >= 2, the periodic table does not)
+    pull = _PullbackTable(P, LAM1, sched)
     for j in range(1, 2 * sched.hbar + 1):
-        assert rel_err(props.pullback(j), mat_exp(-shifted, time_at(sched, j))) <= 1e-12
+        assert rel_err(pull(j), mat_exp(-shifted, time_at(sched, j))) <= 1e-12
     for j in sorted({k, (k + 1) // 2, max(1, k - 1)}):
-        assert rel_err(props.pullback(j), oracle_exp(-shifted, time_at(sched, j))) <= 1e-12
+        assert rel_err(pull(j), oracle_exp(-shifted, time_at(sched, j))) <= 1e-12
     # maps to the final impulse: products of step maps
     to_final = props.to_final(k)
     assert len(to_final) == k + 1
@@ -205,6 +213,24 @@ def test_reachability_gap_brackets_the_residual(case, k, norm):
     lower, achieved = reachability_gap(system, sched, x0, k, 10)
     assert math.isfinite(lower) and math.isfinite(achieved)
     assert 0.0 <= lower <= achieved
+
+
+@given(strict_systems(), st.integers(1, 4), st.floats(0.1, 10.0))
+def test_final_time_and_pull_back_frames_give_one_mode_1_solution(case, k, norm):
+    # the two systems differ by the invertible left factor exp((P - lam1 I) t_k)
+    system, sched = case
+    k = min(k, 2 * sched.hbar)
+    rng = np.random.default_rng(k)
+    v = rng.standard_normal(system.n)
+    v *= norm / np.linalg.norm(v)
+    to_final, S = _final_stack(Propagators(system, sched), k)
+    final = min_norm_solve(S, -(to_final[0][0] @ v))
+    shifted = system.coupling - LAM1 * np.eye(system.n)
+    pulled = np.hstack(
+        [mat_exp(-shifted, time_at(sched, j)) @ system.gain(nu(sched, j)) for j in range(1, k + 1)]
+    )
+    direct = min_norm_solve(pulled, -v)
+    assert np.linalg.norm(final - direct) <= 1e-9 * np.linalg.norm(direct)
 
 
 @given(strict_systems(modes=12), st.integers(1, 6))

@@ -15,6 +15,7 @@ from impulse_gcac.spectral import (
     zero_state,
 )
 from impulse_gcac.synthesis import (
+    BUDGET_SLACK,
     ControlSequence,
     HorizonExhaustedError,
     NonFiniteStateError,
@@ -495,6 +496,43 @@ def test_constrained_null_with_alternating_controllers():
     # even horizon: the exact phase starts on a period boundary and the
     # two-actuator span needs a whole period
     assert res.horizon_k % 2 == 0
+
+
+# --- full-support steering with coupling modes far below lambda_1 ---
+
+# pull-back blocks exp((lambda_1 I - P) t_j) Q grow like exp(2.05 t_j) and
+# exp(2.45 t_j) on these couplings; the steering must not depend on them
+FAR_BELOW = {
+    # rotation at lambda_1 = 1 plus one mode at -1.05
+    "rotation": (
+        [[-1.05, 0.0, 0.0], [0.0, 1.0, 0.75], [0.0, -0.75, 1.0]],
+        [[[1.0], [1.0], [1.0]]],
+        (0.58,),
+    ),
+    # two alternating single-column gains, one mode at -1.45
+    "two-slot": (
+        np.diag([1.0, 0.33, -1.45]),
+        [[[1.0], [1.0], [0.0]], [[0.0], [1.0], [1.0]]],
+        (0.6, 1.17),
+    ),
+}
+
+
+@pytest.mark.parametrize("which", ["gcac", "constrained"])
+@pytest.mark.parametrize("name", sorted(FAR_BELOW))
+def test_full_support_steering_survives_modes_far_below_lambda_1(name, which):
+    coupling, gains, base_times = FAR_BELOW[name]
+    system = make_system(coupling, gains, modes=8)
+    sched = ImpulseSchedule(base_times=base_times)
+    x0 = single_mode_state(system, 1, 7.0 * np.ones(3) / math.sqrt(3.0))
+    if which == "gcac":
+        res = gcac_synthesize(system, sched, x0, 1e-3, 512)
+    else:
+        res = constrained_null_synthesize(system, sched, x0, 512)
+    assert res.horizon_k <= 512
+    assert res.controls.max_norm() <= 1.0 + BUDGET_SLACK
+    replay = simulate(system, sched, x0, res.controls, res.horizon_k)
+    assert np.array_equal(res.final_state, replay)
 
 
 # --- descent synthesis for local supports ---

@@ -169,6 +169,8 @@ def finite_obs_constant(P, gains, taus):
     """
     P = as_matrix(P)
     taus = [float(t) for t in taus]
+    if not taus:
+        raise ValueError("at least one observation time is required")
     if any(t <= 0.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("observation times must be positive and strictly increasing")
     blocks = [
@@ -329,6 +331,8 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    if k < 1:
+        raise ValueError("horizon k must be at least 1")
     check_cycle(system, sched)
     pm = min(PROBE_MODES, system.domain.modes)
     adjoint = _adjoint_propagators(system, sched, k, k, pm)

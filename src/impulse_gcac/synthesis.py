@@ -12,10 +12,14 @@ system:
 
 Every routine returns a SteeringResult whose residual is the l2 norm of a
 state produced by the loop of `simulate`, so callers can re-verify any
-result by replaying the controls. `simulate`, the descent model and the steering
-and null-steering blocks take their maps from a `spectral.Propagators`
-engine built once per public call: hbar matrix exponentials per schedule,
-not one per impulse.
+result by replaying the controls. `simulate`, the descent model, the
+steering and null-steering blocks and the period growth bound take their
+maps from a `spectral.Propagators` engine built once per public call:
+hbar matrix exponentials per schedule, not one per impulse. Each
+full-support synthesizer is a public shell that checks its inputs and
+builds the engine, around a private core that runs on it, so
+`constrained_null_synthesize` runs its phases on one engine and one rank
+search.
 """
 
 import math
@@ -27,7 +31,6 @@ import numpy as np
 from .linalg import (
     UnreachableTargetError,
     column_span,
-    mat_exp,
     min_norm_solve,
     spectrum,
     symmetric_part_max_eig,
@@ -36,7 +39,6 @@ from .observability import (
     RankDeficiencyError,
     _rank_search,
     finite_obs_constant,
-    semigroup_norm,
 )
 from .schedule import check_cycle, nu, time_at
 from .spectral import (
@@ -233,6 +235,8 @@ def gramian_delta(P, gains, sched, k_star, lam1=1.0):
     lam1 is the first diffusion eigenvalue of the domain; the default
     matches an interval of length pi.
     """
+    if k_star < 1:
+        raise ValueError("k_star must be at least 1")
     P = np.asarray(P, dtype=float)
     return _gramian_ball(_shifted_blocks(P, gains, sched, k_star, lam1), k_star)
 
@@ -283,16 +287,18 @@ def _mode1_controls(system, xi_list):
     return impulses
 
 
-def _chunked_mode1(system, sched, v, k_max):
+def _chunked_mode1(props, sched, v, k_max):
     """Greedy Gramian-ball steering of a mode-1 target, one span at a time.
 
     Each span of impulses reaches any target inside its delta-ball with
     unit-ball controls; the target is consumed in delta-sized pieces until
     nothing remains. Spans are full periods so later spans are time shifts
-    of the first, which keeps every solve in well-scaled variables.
+    of the first, which keeps every solve in well-scaled variables. The
+    blocks come from a pull-back table after a rank search of its own; the
+    flow over one span is the engine's map from t_0 to t_span.
     """
+    system = props.system
     P = system.coupling
-    lam1 = system.first_eigenvalue
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     ok_k, _ = _rank_search(P, gains, sched, k_max)
     if ok_k is None:
@@ -300,14 +306,12 @@ def _chunked_mode1(system, sched, v, k_max):
             f"gain stack never reaches full rank within {k_max} impulses"
         )
     span = system.hbar * math.ceil(ok_k / system.hbar)
-    blocks = _shifted_blocks(P, gains, sched, span, lam1)
+    blocks = _shifted_blocks(P, gains, sched, span, system.first_eigenvalue)
     M, delta = _gramian_ball(blocks, span)
     # small margin keeps the closed-form controls strictly inside the ball
     delta *= 1.0 - 1e-12
     # flow over one span: the inverse of the pull-back by span impulses
-    span_flow = np.linalg.matrix_power(
-        mat_exp(P - lam1 * np.eye(P.shape[0]), sched.period), span // system.hbar
-    )
+    span_flow = props.to_final(span)[0][0]
 
     remaining = -np.asarray(v, dtype=float)
     xi_list = []
@@ -364,24 +368,27 @@ def steer_first_mode(system, sched, v_target, k_max):
     check_cycle(system, sched)
     if not system.has_full_supports():
         raise ValueError("mode-1 steering requires every support to be the full interval")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     _spectral_guard(system.coupling, system.first_eigenvalue)
     v = np.asarray(v_target, dtype=float).reshape(-1)
     if v.shape[0] != system.n:
         raise ValueError(f"target must have {system.n} components")
+    return _steer_mode1(Propagators(system, sched), sched, v, k_max)
 
+
+def _steer_mode1(props, sched, v, k_max):
+    """`steer_first_mode` of a checked target vector v on a prebuilt engine."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    system = props.system
     if float(np.linalg.norm(v)) == 0.0:
-        final = zero_state(system)
         return SteeringResult(
             controls=ControlSequence(impulses=()),
             horizon_k=0,
-            final_state=final,
+            final_state=zero_state(system),
             residual=0.0,
             certificate="exact",
         )
 
-    props = Propagators(system, sched)
     m = system.m
 
     def solution_at(k):
@@ -422,7 +429,7 @@ def steer_first_mode(system, sched, v_target, k_max):
         xi_list, k_used = xi, hi
     else:
         try:
-            xi_list = _chunked_mode1(system, sched, v, k_max)
+            xi_list = _chunked_mode1(props, sched, v, k_max)
         except HorizonExhaustedError as err:
             raise HorizonExhaustedError(
                 str(err), best_sup=min(best_sup, err.best_sup)
@@ -484,8 +491,9 @@ def decay_horizon(system, sched, remainder, eps, min_index=0, k_max=None):
 def gcac_synthesize(system, sched, x0, eps, k_max):
     """Steer x0 into the eps-ball with unit-ball impulses, full supports.
 
-    Cancels the mode-1 part of x0 exactly with `steer_first_mode`, then
-    coasts on the engine's step maps, one impulse index at a time, until
+    Cancels the mode-1 part of x0 exactly with the core of
+    `steer_first_mode`, then coasts on the same engine's step maps, one
+    impulse index at a time, until
     the whole state has decayed into the eps-ball; the returned state is
     the loop of `simulate` at that horizon, bit for bit. The certificate
     is 'epsilon-ball' and the horizon never exceeds k_max: running out of
@@ -498,15 +506,18 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
-
     x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
-    v, _ = project_H1(system, x0)
+    return _gcac(Propagators(system, sched), sched, x0, eps, k_max)
+
+
+def _gcac(props, sched, x0, eps, k_max):
+    """`gcac_synthesize` of a validated x0 on a prebuilt engine."""
+    v, _ = project_H1(props.system, x0)
     controls, k = ControlSequence(impulses=()), 0
     if float(np.linalg.norm(v)) > 0.0:
-        steer = steer_first_mode(system, sched, v, k_max)
+        steer = _steer_mode1(props, sched, v, k_max)
         controls, k = steer.controls, steer.horizon_k
 
-    props = Propagators(system, sched)
     final = _propagate(props, x0, controls.impulses, k)
     while (residual := l2_norm(final)) > eps:
         if k >= k_max:
@@ -551,7 +562,11 @@ def null_steer(system, sched, x0, k_star):
     )
 
     x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
-    props = Propagators(system, sched)
+    return _null_steer(Propagators(system, sched), x0, k_star)
+
+
+def _null_steer(props, x0, k_star):
+    """`null_steer` of a validated x0 on a prebuilt engine, with no rank search."""
     A, b = _null_equations(props, x0, k_star)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("null steering equations must be finite")
@@ -564,7 +579,7 @@ def null_steer(system, sched, x0, k_star):
             "null steering lost exactness: predicted residual "
             f"{error:.3e} for a state of norm {scale:.3e}"
         )
-    m = system.m
+    m = props.system.m
     impulses = tuple(xi[:, j * m : (j + 1) * m].T.copy() for j in range(k_star))
     controls = ControlSequence(impulses=impulses, constrained=False)
     final = _propagate(props, x0, controls.impulses, k_star)
@@ -613,16 +628,21 @@ def constrained_null_synthesize(system, sched, x0, k_max):
 
     Runs the eps-ball synthesis down to the radius at which the
     minimum-norm null control is guaranteed admissible, coasts to the
-    next period boundary, and finishes with `null_steer` from there. The
-    radius is 1/(M sqrt(C(k*))) where M bounds the flow's growth over one
-    period and C(k*) is the finite observability constant. The coast and
-    the null phase continue the ball phase's state on the loop of
-    `simulate`, so a replay of the whole sequence reproduces the result.
+    next period boundary, and finishes with exact null steering from
+    there. The radius is 1/(M sqrt(C(k*))) where C(k*) is the finite
+    observability constant and M, the bound on the flow's growth over one
+    period, is the sum of the spectral norms of the engine's maps from
+    t_j to t_hbar, j = 0..hbar-1. Every phase runs on one engine after one
+    rank search, the one that finds k*: the cores of `gcac_synthesize` and
+    `null_steer`, not the public calls. The coast and the null phase
+    continue the ball phase's state on the loop of `simulate`, so a replay
+    of the whole sequence reproduces the result.
     """
     check_cycle(system, sched)
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
+    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
 
     k_star = _require_rank(
         system, sched, k_max, f"gain stack never spans all components within {k_max} impulses"
@@ -635,33 +655,30 @@ def constrained_null_synthesize(system, sched, x0, k_max):
             f"the observability Gramian at k_star = {k_star} is numerically "
             "singular: the unnormalized gain stack falls below the rank tolerance"
         )
+    props = Propagators(system, sched)
     hbar = system.hbar
-    growth = sum(
-        semigroup_norm(system, sched.period - time_at(sched, j)) for j in range(hbar)
-    )
+    growth = sum(float(np.linalg.norm(F, 2)) for F, _ in props.to_final(hbar)[:hbar])
     M = max(growth, 1.0)
     eps = 1.0 / (M * math.sqrt(C))
 
-    x0 = np.asarray(x0, dtype=float)
     if l2_norm(x0) <= eps:
         # already inside the ball: null steering alone is admissible
         prefix = []
         boundary = 0
         reached = x0
     else:
-        ball = gcac_synthesize(system, sched, x0, eps, k_max)
+        ball = _gcac(props, sched, x0, eps, k_max)
         prefix = list(ball.controls.impulses)
         boundary = hbar * (ball.horizon_k // hbar + 1)
         if boundary + k_star > k_max:
             raise HorizonExhaustedError(
                 f"period alignment needs {boundary + k_star} impulses, over {k_max}"
             )
-        props = Propagators(system, sched)
         reached = ball.final_state
         for j in range(ball.horizon_k + 1, boundary + 1):
             reached = props.advance(reached, j)
 
-    tail = null_steer(system, sched, reached, k_star)
+    tail = _null_steer(props, reached, k_star)
     prefix += [np.zeros((system.m, system.domain.modes))] * (boundary - len(prefix))
     controls = ControlSequence(impulses=tuple(prefix + list(tail.controls.impulses)))
     return SteeringResult(

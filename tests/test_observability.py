@@ -82,6 +82,11 @@ def test_finite_obs_rejects_bad_times():
         finite_obs_constant(np.zeros((2, 2)), [np.eye(2)], [-1.0])
 
 
+def test_finite_obs_rejects_an_empty_observation_list():
+    with pytest.raises(ValueError, match="at least one observation time"):
+        finite_obs_constant(np.zeros((2, 2)), [np.eye(2)], [])
+
+
 def _observation_stack(P, gains, taus):
     blocks = [
         scipy.linalg.expm(-P * t) @ gains[j % len(gains)]
@@ -239,6 +244,12 @@ def test_delta_rejects_nonpositive_relaxation():
     system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=4)
     with pytest.raises(ValueError):
         delta_obs_constant(system, unit_schedule(), k=1, delta=0.0)
+
+
+def test_delta_rejects_an_empty_horizon():
+    system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=4)
+    with pytest.raises(ValueError, match="horizon k must be at least 1"):
+        delta_obs_constant(system, unit_schedule(), k=0, delta=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ spectrum stays below the first diffusion eigenvalue, and the period.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -45,8 +46,6 @@ from impulse_gcac.synthesis import (
 from impulse_gcac.witness import reachability_gap
 
 from conftest import make_system
-
-mpmath = pytest.importorskip("mpmath")
 
 LAM1 = 1.0  # first diffusion eigenvalue on (0, pi)
 

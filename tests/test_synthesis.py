@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from impulse_gcac.observability import RankDeficiencyError, finite_obs_constant
-from impulse_gcac.schedule import ImpulseSchedule
+from impulse_gcac import synthesis
+from impulse_gcac.observability import (
+    RankDeficiencyError,
+    finite_obs_constant,
+    semigroup_norm,
+)
+from impulse_gcac.schedule import ImpulseSchedule, time_at
 from impulse_gcac.spectral import (
+    Propagators,
     apply_semigroup,
     l2_norm,
     random_state,
@@ -158,6 +164,11 @@ def test_gramian_delta_rejects_rank_deficient_stack():
         gramian_delta(np.eye(2), [np.array([[0.0], [1.0]])], unit_schedule(), 1)
 
 
+def test_gramian_delta_rejects_an_empty_horizon():
+    with pytest.raises(ValueError, match="k_star must be at least 1"):
+        gramian_delta(np.eye(2), [np.eye(2)], unit_schedule(), 0)
+
+
 def test_gramian_delta_two_impulses():
     # blocks stay the identity at both times, so M = 2I and the ball radius
     # is smin^2/smax = 2/sqrt(2)
@@ -274,7 +285,7 @@ def test_chunked_steering_consumes_the_target_in_ball_pieces():
     system = make_system(np.diag([0.5, 1.0]), [np.eye(2)], modes=8)
     sched = unit_schedule()
     v = np.array([3.0, -2.5])
-    xi = _chunked_mode1(system, sched, v, 64)
+    xi = _chunked_mode1(Propagators(system, sched), sched, v, 64)
     assert max(np.linalg.norm(x) for x in xi) <= 1.0 + 1e-12
     impulses = []
     for x in xi:
@@ -533,6 +544,74 @@ def test_full_support_steering_survives_modes_far_below_lambda_1(name, which):
     assert res.controls.max_norm() <= 1.0 + BUDGET_SLACK
     replay = simulate(system, sched, x0, res.controls, res.horizon_k)
     assert np.array_equal(res.final_state, replay)
+    if which == "constrained":
+        # the growth bound read from the engine's maps matches the one-shot
+        # flow norms over t_hbar - t_j
+        growth = sum(
+            semigroup_norm(system, sched.period - time_at(sched, j)) for j in range(system.hbar)
+        )
+        assert res.details["period_bound"] == pytest.approx(max(growth, 1.0), rel=1e-12)
+
+
+# --- one engine and one rank search per call ---
+
+
+def _count_engines_and_rank_searches(monkeypatch):
+    counts = {"engines": 0, "rank_searches": 0}
+
+    class CountingPropagators(Propagators):
+        def __init__(self, system, sched):
+            counts["engines"] += 1
+            super().__init__(system, sched)
+
+    search = synthesis._rank_search
+
+    def counting_search(*args):
+        counts["rank_searches"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(synthesis, "Propagators", CountingPropagators)
+    monkeypatch.setattr(synthesis, "_rank_search", counting_search)
+    return counts
+
+
+@pytest.mark.parametrize("which", ["steer", "gcac", "null", "constrained"])
+def test_each_full_support_synthesizer_builds_one_engine(monkeypatch, which):
+    coupling, gains, base_times = FAR_BELOW["two-slot"]
+    system = make_system(coupling, gains, modes=8)
+    sched = ImpulseSchedule(base_times=base_times)
+    x0 = single_mode_state(system, 1, 7.0 * np.ones(3) / math.sqrt(3.0))
+    counts = _count_engines_and_rank_searches(monkeypatch)
+    if which == "steer":
+        steer_first_mode(system, sched, x0[:, 0], 512)
+    elif which == "gcac":
+        gcac_synthesize(system, sched, x0, 1e-3, 512)
+    elif which == "null":
+        null_steer(system, sched, x0, 4)
+    else:
+        res = constrained_null_synthesize(system, sched, x0, 512)
+        # x0 starts outside the ball, so the ball phase ran too
+        assert res.details["ball_radius"] < l2_norm(x0)
+        assert counts["rank_searches"] == 1
+    assert counts["engines"] == 1
+
+
+# --- the k_max lower bound ---
+
+
+def test_full_support_synthesizers_need_at_least_one_impulse():
+    system = make_system(np.eye(2), [np.eye(2)], modes=8)
+    sched = unit_schedule()
+    x0 = single_mode_state(system, 1, [0.5, -0.5])
+    calls = [
+        lambda: steer_first_mode(system, sched, np.zeros(2), 0),
+        lambda: steer_first_mode(system, sched, np.array([0.5, -0.5]), 0),
+        lambda: gcac_synthesize(system, sched, x0, 1e-3, 0),
+        lambda: constrained_null_synthesize(system, sched, x0, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            call()
 
 
 # --- descent synthesis for local supports ---

@@ -552,6 +552,9 @@ def _task_local(scenario):
     result["eps"] = scenario.parameters["eps"]
     result["iterations"] = res.details["iterations"]
     result["residual_by_horizon"] = {str(k): v for k, v in res.details["residual_by_horizon"].items()}
+    result["best_iteration_by_horizon"] = {
+        str(k): v for k, v in res.details["best_iteration_by_horizon"].items()
+    }
     constants = [
         {"name": "pgd_step_sizes", "value": list(res.details["step_sizes"]), "method": "sampled-fit"}
     ]

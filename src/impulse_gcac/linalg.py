@@ -103,13 +103,18 @@ class Span(NamedTuple):
     rank counts the singular values above ``tol * sigma_max`` (0 for a
     zero matrix); sigma_n is the n-th singular value when the stack has
     full row rank and 0 otherwise; null is an orthonormal basis, shape
-    (n, n - rank), of the directions orthogonal to every column.
+    (n, n - rank), of the directions orthogonal to every column. factor,
+    shape (n, min(n, p)), is the left singular vectors scaled by the
+    singular values: ``factor @ factor.T == S @ S.T`` up to rounding, so
+    ``[factor, B]`` has the singular values and left singular vectors of
+    ``[S, B]`` for any further columns B.
     """
 
     rank: int
     sigma_max: float
     sigma_n: float
     null: np.ndarray
+    factor: np.ndarray
 
 
 def column_span(S):
@@ -117,12 +122,12 @@ def column_span(S):
     S = as_matrix(S)
     n, p = S.shape
     if S.size == 0:
-        return Span(0, 0.0, 0.0, np.eye(n))
+        return Span(0, 0.0, 0.0, np.eye(n), np.zeros((n, 0)))
     # the stacks are wide; the full left factor is only needed when p < n
     u, s, _ = np.linalg.svd(S, full_matrices=p < n)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
     sigma_n = float(s[n - 1]) if rank == n else 0.0
-    return Span(rank, float(s[0]), sigma_n, u[:, rank:])
+    return Span(rank, float(s[0]), sigma_n, u[:, rank:], u[:, : s.size] * s)
 
 
 def numerical_rank(M):

@@ -126,23 +126,27 @@ def rank_condition(P, gains, sched, k_max):
 def _rank_search(P, gains, sched, k_max):
     """`rank_condition` as (k_star or None, null basis of the last stack).
 
-    The blocks come from a `_PullbackTable` at lambda_1 = 0. The null
-    basis, shape (n, n - rank), is empty at k_star; on failure it holds
-    the directions no block up to k_max can see.
+    The blocks come from a `_PullbackTable` at lambda_1 = 0. The stack of
+    blocks 1..j-1 is carried as its n x min(n, p) factor `Span.factor`,
+    which has the stack's singular values and left singular vectors, so
+    candidate j is one `column_span` of at most n + m columns and the
+    search is linear in k_max. The null basis, shape (n, n - rank), is
+    empty at k_star; on failure it holds the directions no block up to
+    k_max can see.
     """
     P = as_matrix(P)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     n = P.shape[0]
     pull = _PullbackTable(P, 0.0, sched)
-    blocks = []
+    factor = np.zeros((n, 0))
     for j in range(1, k_max + 1):
         block = pull(j) @ as_matrix(gains[nu(sched, j) - 1], rows=n)
         scale = np.linalg.norm(block, 2)
-        blocks.append(block / scale if scale > 0.0 else block)
-        span = column_span(np.hstack(blocks))
+        span = column_span(np.hstack([factor, block / scale if scale > 0.0 else block]))
         if span.rank == n:
             return j, span.null
+        factor = span.factor
     return None, span.null
 
 

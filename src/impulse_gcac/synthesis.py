@@ -607,6 +607,12 @@ def _final_stack(props, k):
     return to_final, S
 
 
+def _row_decays(to_final, m):
+    """Per-mode decay from t_j to t_k for each of the k m columns of the
+    `_final_stack`, as rows: shape (k m, N)."""
+    return np.repeat(np.array([d for _, d in to_final[1:]]), m, axis=0)
+
+
 def _null_equations(props, x0, k):
     """Per-mode null steering equations ``A_i xi_i = b_i``, stacked over modes.
 
@@ -617,8 +623,7 @@ def _null_equations(props, x0, k):
     system = props.system
     to_final, blocks = _final_stack(props, k)
     F0, d0 = to_final[0]
-    gaps = np.repeat(np.array([d for _, d in to_final[1:]]), system.m, axis=0)
-    A = blocks[None, :, :] * gaps.T[:, None, :]
+    A = blocks[None, :, :] * _row_decays(to_final, system.m).T[:, None, :]
     b = -((F0 @ x0) * d0[None, :]).T
     return A, b
 
@@ -694,80 +699,99 @@ def constrained_null_synthesize(system, sched, x0, k_max):
 class _HorizonModel:
     """Control-to-state map at one fixed horizon k, its adjoint and descent.
 
-    Both sides come from one `Propagators` engine: `forward` is the loop
-    of `simulate` (`Propagators.advance`), so it equals `simulate` bitwise
-    for k impulses; `back` holds, per impulse j, the adjoint flow from t_j
-    to t_k as the transpose of the engine's `to_final` map, with its
-    per-mode decay. Like `_propagate`, the maps, the gradient and the
-    descent run with numpy's overflow warnings off: an overflowed state
-    ends in NonFiniteStateError from `forward`.
+    Controls are one stacked (k, m, N) array, impulse j in block j - 1.
+    From the zero state the map is linear: with S the final-time gain
+    stack of `_final_stack`, shape (n, k m), and G, shape (k m, N), the
+    per-mode decay of each control row from its impulse to t_k,
+    ``apply(U) = S @ (project(U) * G)`` and its adjoint
+    ``gradient(y) = project((S.T @ y) * G)``, where `_project` applies
+    each slot's Gram matrix to the rows of that slot's impulses in one
+    product (nothing on a full support). A descent step is a few products
+    over all impulses at once; `forward` stays the loop of `simulate`
+    (`_propagate`), the replay every returned residual comes from. Like
+    `_propagate`, the build and the descent run with numpy's overflow
+    warnings off (`reachability_gap` turns them off for its dual side);
+    an overflowed replay ends in NonFiniteStateError.
     """
 
     def __init__(self, props, k):
+        system = props.system
         self.props = props
-        self.system = props.system
         self.k = k
-        self.jumps = [props.jumps[(j - 1) % props.hbar] for j in range(1, k + 1)]
+        self.shape = (k, system.m, system.domain.modes)
+        self.grams = [gram for _, gram in props.jumps]
         with np.errstate(over="ignore", invalid="ignore"):
-            self.back = [(F.T, d) for F, d in props.to_final(k)[1:]]
+            to_final, self.S = _final_stack(props, k)
+        self.F0, self.d0 = to_final[0]
+        self.G = _row_decays(to_final, system.m)
 
     def forward(self, x0, impulses):
         return _propagate(self.props, x0, impulses, self.k)
 
+    def free(self, x0):
+        """Final state of x0 under no control, from the map t_0 -> t_k."""
+        return (self.F0 @ x0) * self.d0[None, :]
+
+    def _project(self, U):
+        """Each slot's Gram matrix applied to the rows of its impulses."""
+        hbar, N = len(self.grams), self.shape[2]
+        out = np.empty_like(U)
+        for r, gram in enumerate(self.grams):
+            rows = U[r::hbar]
+            out[r::hbar] = rows if gram is None else (rows.reshape(-1, N) @ gram).reshape(rows.shape)
+        return out
+
+    def apply(self, U):
+        """Final state from the zero state under the stacked controls U."""
+        return self.S @ (self._project(U).reshape(self.G.shape) * self.G)
+
     def gradient(self, final_state):
-        """Per-impulse gradient of 0.5 * ||final state||^2."""
-        grads = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (F, decay), (gain, gram) in zip(self.back, self.jumps):
-                pulled = (F @ final_state) * decay[None, :]
-                y = gain.T @ pulled
-                grads.append(y if gram is None else y @ gram)
-        return grads
+        """Stacked gradient of 0.5 * ||final state||^2: the adjoint of `apply`."""
+        return self._project(((self.S.T @ final_state) * self.G).reshape(self.shape))
 
-    def descend(self, x0, u, iters, rng):
-        """`iters` projected gradient steps of size 1/(1.05 L) from u.
+    def descend(self, x0, U, iters, rng):
+        """`iters` projected gradient steps of size 1/(1.05 L) from the controls U.
 
-        Every step clips each impulse to the unit ball; L is estimated from
-        `rng`. Returns (residual, impulses, step) of the first iterate of
-        smallest final-state norm, the last iterate included.
+        U has shape (k, m, N). Iterates are evaluated as ``free + apply``;
+        every step divides each impulse by max(its norm, 1), and L is
+        estimated from `rng`. Returns (residual, impulses, step, iteration)
+        for the first iterate of smallest final-state norm, the last one
+        included: iteration counts the steps taken from U (0 is U itself)
+        and residual is the norm of the `forward` replay of impulses, so a
+        `simulate` replay reproduces it bitwise.
+
+        Raises NonFiniteStateError when that replay overflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             # power iteration approaches the true constant from below; the
             # margin keeps the step at or under 1/L
             step = 1.0 / (_lipschitz_estimate(self, rng) * 1.05)
-            best_res, best_u = math.inf, u
+            free = self.free(x0)
+            best_res, best_u, best_i = math.inf, U, 0
             for i in range(iters + 1):
-                final = self.forward(x0, u)
+                final = free + self.apply(U)
                 res = l2_norm(final)
                 if res < best_res:
-                    best_res, best_u = res, u
+                    best_res, best_u, best_i = res, U, i
                 if i < iters:
-                    u = [_clip_unit(x - step * g) for x, g in zip(u, self.gradient(final))]
-        return best_res, best_u, step
-
-
-def _clip_unit(u):
-    norm = float(np.linalg.norm(u))
-    return u if norm <= 1.0 else u / norm
-
-
-def _control_norm(impulses):
-    return math.sqrt(sum(float(np.linalg.norm(u)) ** 2 for u in impulses))
+                    U = U - step * self.gradient(final)
+                    U /= np.maximum(np.linalg.norm(U, axis=(1, 2)), 1.0)[:, None, None]
+            residual = l2_norm(self.forward(x0, best_u))
+        if not math.isfinite(residual):
+            raise NonFiniteStateError(f"the descent residual at horizon {self.k} overflowed")
+        return residual, best_u, step, best_i
 
 
 def _lipschitz_estimate(model, rng):
     """Top eigenvalue of (control map)^T (control map) by 40 power steps."""
-    m, N = model.system.m, model.system.domain.modes
-    zero = zero_state(model.system)
-    v = [rng.standard_normal((m, N)) for _ in range(model.k)]
-    scale = _control_norm(v)
-    v = [u / scale for u in v]
+    v = rng.standard_normal(model.shape)
+    v /= np.linalg.norm(v)
     for _ in range(40):
-        w = model.gradient(model.forward(zero, v))
-        lam = _control_norm(w)
+        w = model.gradient(model.apply(v))
+        lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 1.0
-        v = [u / lam for u in w]
+        v = w / lam
     return lam
 
 
@@ -779,7 +803,9 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     the best iterate so far, which only a strictly smaller residual
     replaces. Succeeds with certificate 'epsilon-ball' once the residual
     drops to eps; otherwise returns the best attempt with certificate
-    'failed-horizon-exhausted'.
+    'failed-horizon-exhausted'. Per horizon, `details` holds the step
+    size, the best residual so far and the step at which that horizon's
+    descent found its returned iterate.
     """
     check_cycle(system, sched)
     if eps <= 0.0:
@@ -816,17 +842,18 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
             break
         k = min(2 * k, k_max)
 
-    best_u = []
+    best_u = np.zeros((0, system.m, system.domain.modes))
     best_res = math.inf
     best_k = horizons[0]
     steps = {}
+    winners = {}
     history = {}
     props = Propagators(system, sched)
-    shape = (system.m, system.domain.modes)
     for k in horizons:
         model = _HorizonModel(props, k)
-        u = best_u + [np.zeros(shape) for _ in range(k - len(best_u))]
-        res, impulses, steps[k] = model.descend(x0, u, iterations, rng)
+        u = np.zeros(model.shape)
+        u[: len(best_u)] = best_u
+        res, impulses, steps[k], winners[k] = model.descend(x0, u, iterations, rng)
         if res < best_res:
             best_res, best_u, best_k = res, impulses, k
         history[k] = best_res
@@ -847,5 +874,6 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
             "step_sizes": steps,
             "iterations": iterations,
             "residual_by_horizon": history,
+            "best_iteration_by_horizon": winners,
         },
     )

@@ -133,34 +133,32 @@ def negative_bound(system, sched, epsilon0):
 
 
 def _gap_value(model, free, phi):
-    """Dual bound at one unit direction, with the observations it subtracts."""
+    """Dual bound at one unit direction, with the observations it subtracts
+    (stacked per impulse) and their norms."""
     obs = model.gradient(phi)
-    value = float(np.sum(free * phi))
-    for y in obs:
-        value -= float(np.linalg.norm(y))
-    return value, obs
+    norms = np.linalg.norm(obs, axis=(1, 2))
+    return float(np.sum(free * phi)) - float(np.sum(norms)), obs, norms
 
 
 def _ascend(model, free, phi, iters):
     """Local ascent of the dual bound on the unit sphere, best wins.
 
     The gradient of a summed observation norm is the control-to-state map
-    applied to the normalized observations, i.e. `model.forward` from zero.
+    applied to the normalized observations, i.e. `model.apply`.
     """
     best_phi = phi
-    best_val, obs = _gap_value(model, free, phi)
-    zero = np.zeros_like(free)
+    best_val, obs, norms = _gap_value(model, free, phi)
     step = 0.5
     for _ in range(iters):
-        units = [y / norm if (norm := float(np.linalg.norm(y))) > 0.0 else y for y in obs]
-        cand = best_phi + step * (free - model.forward(zero, units))
+        units = obs / np.where(norms > 0.0, norms, 1.0)[:, None, None]
+        cand = best_phi + step * (free - model.apply(units))
         scale = float(np.linalg.norm(cand))
         if scale == 0.0:
             break
         cand /= scale
-        val, cand_obs = _gap_value(model, free, cand)
+        val, cand_obs, cand_norms = _gap_value(model, free, cand)
         if val > best_val:
-            best_val, best_phi, obs = val, cand, cand_obs
+            best_val, best_phi, obs, norms = val, cand, cand_obs, cand_norms
         else:
             step *= 0.5
             if step < 1e-6:
@@ -173,7 +171,8 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
 
     Returns (lower_bound, achieved). achieved is the smallest final-state
     norm that `grad_iters` steps of `_HorizonModel.descend` from the zero
-    control reach at exactly k impulses; lower_bound is the best dual bound
+    control reach at exactly k impulses, as the norm of the `simulate`
+    replay of the returned impulses; lower_bound is the best dual bound
     over candidate directions (coupling eigendirections on mode 1, the
     free final state, and random unit states refined by ascent), clamped
     to [0, achieved].
@@ -191,37 +190,38 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     if grad_iters < 1:
         raise ValueError("grad_iters must be at least 1")
     x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
-    n, m, N = system.n, system.m, system.domain.modes
+    n, N = system.n, system.domain.modes
     model = _HorizonModel(Propagators(system, sched), k)
     rng = np.random.default_rng(seed)
 
     # primal: fixed-horizon constrained descent from the zero control
-    achieved, _, _ = model.descend(x0, [np.zeros((m, N)) for _ in range(k)], grad_iters, rng)
+    achieved = model.descend(x0, np.zeros(model.shape), grad_iters, rng)[0]
 
-    # dual: candidate unit directions
-    free = model.forward(x0, [np.zeros((m, N))] * k)
-    candidates = []
-    _, vecs = np.linalg.eig(system.coupling.T)
-    for i in range(n):
-        for part in (np.real(vecs[:, i]), np.imag(vecs[:, i])):
-            norm = np.linalg.norm(part)
-            if norm > 1e-12:
-                phi = zero_state(system)
-                phi[:, 0] = part / norm
-                candidates.append(phi)
-    free_norm = l2_norm(free)
-    if free_norm > 0.0:
-        candidates.append(free / free_norm)
-    for _ in range(100):
-        phi = rng.standard_normal((n, N))
-        candidates.append(phi / np.linalg.norm(phi))
+    # dual: candidate unit directions, on the maps with overflow warnings off
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = model.free(x0)
+        candidates = []
+        _, vecs = np.linalg.eig(system.coupling.T)
+        for i in range(n):
+            for part in (np.real(vecs[:, i]), np.imag(vecs[:, i])):
+                norm = np.linalg.norm(part)
+                if norm > 1e-12:
+                    phi = zero_state(system)
+                    phi[:, 0] = part / norm
+                    candidates.append(phi)
+        free_norm = l2_norm(free)
+        if free_norm > 0.0:
+            candidates.append(free / free_norm)
+        for _ in range(100):
+            phi = rng.standard_normal((n, N))
+            candidates.append(phi / np.linalg.norm(phi))
 
-    values = [_gap_value(model, free, phi)[0] for phi in candidates]
-    order = np.argsort(values)[::-1]
-    best = values[order[0]]
-    # ascent-refine the three most promising directions
-    for idx in order[:3]:
-        best = max(best, _ascend(model, free, candidates[idx], 30))
-    if not (math.isfinite(best) and math.isfinite(achieved)):
+        values = [_gap_value(model, free, phi)[0] for phi in candidates]
+        order = np.argsort(values)[::-1]
+        best = values[order[0]]
+        # ascent-refine the three most promising directions
+        for idx in order[:3]:
+            best = max(best, _ascend(model, free, candidates[idx], 30))
+    if not math.isfinite(best):
         raise NonFiniteStateError(f"the reachability gap at horizon {k} overflowed")
     return min(max(best, 0.0), achieved), achieved

@@ -382,6 +382,16 @@ def test_last_trajectory_row_is_the_residual_bitwise(tmp_path, task):
     assert float(rows[-1].split(",")[-2]) == report["result"]["residual"]
 
 
+def test_local_synthesis_reports_the_winning_iteration_per_horizon(tmp_path):
+    doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)
+    path = write_scenario(tmp_path, doc)
+    assert main(["synthesize-local", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    winners = result["best_iteration_by_horizon"]
+    assert winners.keys() == result["residual_by_horizon"].keys()
+    assert all(0 <= i <= result["iterations"] for i in winners.values())
+
+
 def test_observability_task_labels_constants(tmp_path):
     doc = full_support_doc()
     doc["parameters"]["delta"] = 0.5

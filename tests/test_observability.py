@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from conftest import make_system, two_component_invariant_system, unit_schedule
 
+from impulse_gcac import observability
 from impulse_gcac.observability import (
     RankDeficiencyError,
     _observation_sum,
@@ -44,6 +45,24 @@ def test_rank_condition_two_actuators_need_both():
     sched = ImpulseSchedule((0.5, 1.0))
     ok, k_star = rank_condition(np.zeros((2, 2)), gains, sched, 5)
     assert ok and k_star == 2
+
+
+def test_rank_search_spans_at_most_n_plus_m_columns(monkeypatch):
+    # a rank-deficient search runs to k_max; each candidate is one span of
+    # the previous stack's factor and the new block, never the whole stack
+    system = two_component_invariant_system(modes=8)
+    widths = []
+    span = observability.column_span
+
+    def recording_span(S):
+        widths.append(S.shape[1])
+        return span(S)
+
+    monkeypatch.setattr(observability, "column_span", recording_span)
+    ok, k_star = rank_condition(system.coupling, [system.gain(1)], unit_schedule(), 64)
+    assert not ok and k_star is None
+    assert len(widths) == 64
+    assert max(widths) <= system.n + system.m
 
 
 def test_kalman_rank_examples():

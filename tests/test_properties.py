@@ -160,6 +160,31 @@ def test_gradient_is_the_adjoint_of_the_forward_map(case, k):
     assert np.array_equal(forward, replay)
 
 
+@example(
+    # two slots, full then local support: a mix the strategy never draws
+    case=(
+        make_system(
+            np.array([[-0.4, 0.3], [-0.2, 0.1]]),
+            [np.eye(2), np.array([[1.0, -0.5], [0.3, 1.0]])],
+            supports=[(0.0, math.pi), (0.4, 2.1)],
+            modes=6,
+        ),
+        ImpulseSchedule(base_times=(0.07, 0.2)),
+    ),
+    k=7,
+)
+@given(strict_systems(local=True), st.integers(1, 24))
+def test_stacked_map_matches_the_replay_loop(case, k):
+    system, sched = case
+    model = _HorizonModel(Propagators(system, sched), k)
+    rng = np.random.default_rng(k)
+    x0 = random_state(system, rng)
+    U = rng.standard_normal(model.shape)
+    stacked = model.free(x0) + model.apply(U)
+    replay = model.forward(x0, list(U))
+    assert np.linalg.norm(stacked - replay) <= 1e-12 * np.linalg.norm(replay)
+
+
 @given(strict_systems(local=True), st.integers(1, 12))
 def test_gradient_matches_central_differences(case, k):
     system, sched = case

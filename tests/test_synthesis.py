@@ -26,6 +26,7 @@ from impulse_gcac.synthesis import (
     HorizonExhaustedError,
     NonFiniteStateError,
     _chunked_mode1,
+    _HorizonModel,
     constrained_null_synthesize,
     decay_horizon,
     gcac_synthesize,
@@ -697,6 +698,28 @@ def test_local_gcac_matches_exact_synthesis_on_full_supports():
     local = local_gcac_synthesize(system, sched, x0, eps, exact.horizon_k)
     assert local.residual <= eps
     assert local.horizon_k <= exact.horizon_k
+
+
+def test_descent_returns_a_replayed_residual_inside_the_unit_ball():
+    # two slots, one full and one local support, so the stacked projection
+    # groups the rows of each slot
+    system = make_system(
+        np.array([[0.0, 0.3], [-0.3, 0.0]]),
+        [np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])],
+        supports=[(0.0, math.pi), (0.5, 2.0)],
+        modes=8,
+    )
+    sched = ImpulseSchedule(base_times=(0.4, 1.0))
+    x0 = random_state(system, np.random.default_rng(97), norm=3.0)
+    model = _HorizonModel(Propagators(system, sched), 5)
+    residual, impulses, step, best = model.descend(
+        x0, np.zeros(model.shape), 50, np.random.default_rng(0)
+    )
+    controls = ControlSequence(impulses=tuple(impulses))
+    assert residual == l2_norm(simulate(system, sched, x0, controls, 5))
+    assert np.linalg.norm(impulses, axis=(1, 2)).max() <= 1.0 + BUDGET_SLACK
+    assert 0 <= best <= 50
+    assert step > 0.0
 
 
 def test_local_gcac_rejects_non_dissipative_coupling():

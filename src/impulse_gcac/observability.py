@@ -12,8 +12,9 @@ Two kinds of quantities live here and are kept clearly apart:
 Every report records the horizon, the constant, and which of the two
 routes produced it.
 Rank decisions and Gramian constants are read from `linalg.column_span`;
-the rank search takes its blocks from a pull-back table and the adjoint
-readings their maps from a `spectral.Propagators` engine.
+the rank search takes its blocks from a pull-back table, and the sampled
+constants read every controller in one product with the transposed gain
+stack of `spectral.Propagators.final_stack`, the maps synthesis descends on.
 """
 
 import itertools
@@ -210,56 +211,33 @@ def _observation_sum(system, sched, state, k, final_time):
     return total
 
 
-def _adjoint_propagators(system, sched, k, final, modes):
-    """Adjoint flow from t_j to t_final for j = 0..k, as (matrix, decay) pairs.
+def _reading_maps(system, sched, k, final, modes):
+    """``(props, F0^T, d0, S, G)`` for readings of impulses 1..k at t_final.
 
-    The transposes of `Propagators.to_final(final)`, decays cut to the
-    leading `modes` modes. Computed once per call and shared by every
-    batch of readings.
+    The engine, its adjoint flow from t_0 to t_final, and its
+    `final_stack(final)` cut to k impulses; decays cut to `modes` modes.
     """
-    maps = Propagators(system, sched).to_final(final)[: k + 1]
-    return [(F.T, d[:modes]) for F, d in maps]
+    props = Propagators(system, sched)
+    to_final, S, G = props.final_stack(final)
+    F0, d0 = to_final[0]
+    cut = k * system.m
+    return props, F0.T, d0[:modes], S[:, :cut], G[:cut, :modes]
 
 
-def _batch_readings(system, sched, Z, adjoint):
+def _batch_readings(maps, Z):
     """lhs norms and summed readings for a batch of states.
 
-    Z has shape (batch, n, modes) with modes <= N; the Gram weighting only
-    needs the matching leading block. `adjoint` is the output of
-    `_adjoint_propagators` for these modes, horizon k and final time
-    T = t_final.
-    Returns (lhs, obs) arrays of length batch, where lhs is the
-    adjoint-flow norm at T and obs the summed controller readings at
-    T - t_j, j = 1..k.
+    Z has shape (batch, n, p) with p the `modes` of `_reading_maps`. Returns
+    (lhs, obs) arrays of length batch, where lhs is the adjoint-flow norm
+    at T = t_final and obs the summed controller readings at T - t_j,
+    j = 1..k, all taken in one product with the transposed gain stack.
     """
-    batch, _, pm = Z.shape
-    E, decay = adjoint[0]
-    flowed = np.einsum("ab,kbm->kam", E, Z) * decay[None, None, :]
-    lhs = np.linalg.norm(flowed.reshape(batch, -1), axis=1)
-    obs = np.zeros(batch)
-    for j, (Ej, dj) in enumerate(adjoint[1:], 1):
-        evolved = np.einsum("ab,kbm->kam", Ej, Z) * dj[None, None, :]
-        ctrl = nu(sched, j)
-        Y = np.einsum("ac,kam->kcm", system.gain(ctrl), evolved)
-        if system._full[ctrl - 1]:
-            energy = np.einsum("kcm,kcm->k", Y, Y)
-        else:
-            G = system.overlap(ctrl)[:pm, :pm]
-            energy = np.einsum("kcm,mn,kcn->k", Y, G, Y)
-        obs += np.sqrt(np.maximum(energy, 0.0))
-    return lhs, obs
-
-
-def _observation_kernel(system, sched, adjoint):
-    """Orthonormal basis of component directions invisible to all readings.
-
-    A direction v is unobserved when every ``Q_{nu(j)}^T exp(P^T (T - t_j)) v``
-    vanishes; the Gram weighting cannot rescue it because each support has
-    positive mass on every mode. `adjoint` is the output of
-    `_adjoint_propagators` for final time T = t_final.
-    """
-    cols = [E.T @ system.gain(nu(sched, j)) for j, (E, _) in enumerate(adjoint[1:], 1)]
-    return column_span(np.hstack(cols)).null  # shape (n, n - rank)
+    props, F0T, d0, S, G = maps
+    batch, _, p = Z.shape
+    lhs = np.linalg.norm(((F0T @ Z) * d0).reshape(batch, -1), axis=1)
+    Y = ((S.T @ Z) * G).reshape(batch, -1, props.system.m, p)
+    energy = np.sum(Y * props.project(Y), axis=(2, 3))
+    return lhs, np.sqrt(np.maximum(energy, 0.0)).sum(axis=1)
 
 
 def interpolation_estimate(system, sched, k, sample_count, seed=0):
@@ -282,10 +260,11 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
         raise ValueError("at least 100 samples are required")
     check_cycle(system, sched)
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    adjoint = _adjoint_propagators(system, sched, k, k + 1, system.domain.modes)
     ok, _ = rank_condition(system.coupling, gains, sched, k)
+    maps = _reading_maps(system, sched, k, k + 1, system.domain.modes)
     if not ok:
-        kernel = _observation_kernel(system, sched, adjoint)
+        # directions invisible to every reading; see delta_obs_constant
+        kernel = column_span(maps[3]).null
         witness = kernel[:, 0] if kernel.size else np.zeros(system.n)
         raise RankDeficiencyError(
             f"rank condition fails at horizon {k}: a component direction is "
@@ -297,7 +276,7 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
     norms = np.linalg.norm(Z.reshape(sample_count, -1), axis=1)
     keep = norms > 0.0
     Z, norms = Z[keep], norms[keep]
-    lhs, obs = _batch_readings(system, sched, Z, adjoint)
+    lhs, obs = _batch_readings(maps, Z)
     b = np.log(lhs / norms)
     a = np.log(obs / norms)
     theta = 1.0 - THETA_STEP
@@ -339,10 +318,14 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
         raise ValueError("horizon k must be at least 1")
     check_cycle(system, sched)
     pm = min(PROBE_MODES, system.domain.modes)
-    adjoint = _adjoint_propagators(system, sched, k, k, pm)
-    kernel = _observation_kernel(system, sched, adjoint)
+    maps = _reading_maps(system, sched, k, k, pm)
+    _, F0T, _, S, _ = maps
+    # v is unobserved when every Q_nu(j)^T exp(P^T (T - t_j)) v vanishes, an
+    # orthogonality to S; the Gram weighting cannot rescue it because each
+    # support has positive mass on every mode
+    kernel = column_span(S).null  # shape (n, n - rank)
     if kernel.size:
-        surviving = np.linalg.norm(adjoint[0][0] @ kernel, 2)
+        surviving = np.linalg.norm(F0T @ kernel, 2)
         if surviving > delta * (1.0 + 1e-12):
             return ObservabilityReport(
                 k=k, constant=math.inf, method="sampled-fit", delta=delta
@@ -354,7 +337,7 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     def evaluate(zs):
         # zs: (batch, n*pm) unit rows -> required constant per row
         Z = zs.reshape(zs.shape[0], system.n, pm)
-        lhs, obs = _batch_readings(system, sched, Z, adjoint)
+        lhs, obs = _batch_readings(maps, Z)
         norms = np.linalg.norm(zs, axis=1)
         return _delta_required(lhs, norms, obs, delta)
 
@@ -418,13 +401,18 @@ def semigroup_norm(system, t):
     return float(np.linalg.norm(mat_exp(shifted, t), 2))
 
 
+def _spectral_tol(lam1):
+    """Margin of every comparison of the coupling's spectrum against lam1."""
+    return 1e-9 * max(1.0, abs(lam1))
+
+
 def hypothesis_verdict(system, sched, k_max):
     """All synthesis hypotheses evaluated on one system and schedule."""
     check_cycle(system, sched)
     gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     ok, k_star = rank_condition(system.coupling, gains, sched, k_max)
     lam1 = system.first_eigenvalue
-    tol = 1e-9 * max(1.0, abs(lam1))
+    tol = _spectral_tol(lam1)
     top = spectrum(system.coupling).max_real_part
     if top > lam1 + tol:
         spectral = "violated"

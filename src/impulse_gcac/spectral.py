@@ -21,8 +21,10 @@ error of order 1/N documented and measured in the tests.
 Impulse times repeat with the schedule's period, so the flow between two
 consecutive impulses takes only hbar distinct forms. `Propagators` builds
 them once per schedule: the loop of `simulate` and the maps from each
-impulse to the final time are products of these per-slot step maps.
-`apply_semigroup` remains the one-shot flow over an arbitrary time.
+impulse to the final time are products of these per-slot step maps, and
+so is the final-time gain stack that maps controls to states and, read
+transposed, states to controller readings. `apply_semigroup` remains the
+one-shot flow over an arbitrary time.
 """
 
 import math
@@ -232,6 +234,8 @@ def _check_state(system, state):
         raise ValueError(
             f"state must have shape ({system.n}, {system.domain.modes}), got {st.shape}"
         )
+    if not np.all(np.isfinite(st)):
+        raise ValueError("state entries must be finite")
     return st
 
 
@@ -340,8 +344,10 @@ class Propagators:
     plus the controller's gain and Gram matrix (None on a full support).
     `advance` is the one flow-and-jump step of every forward loop, and
     `to_final` the maps from each impulse to a final impulse (adjoint maps
-    are their transposes). Construction costs hbar matrix exponentials; an
-    engine lives for one call and is never cached beyond it.
+    are their transposes). `final_stack` and `project` are the one
+    control-to-state map and its adjoint, for synthesis, the witness and
+    the observability readings alike. Construction costs hbar matrix
+    exponentials; an engine lives for one call and is never cached beyond it.
     """
 
     def __init__(self, system, sched):
@@ -389,6 +395,35 @@ class Propagators:
             d = d * decay
             out.append((F, d))
         return out[::-1]
+
+    def final_stack(self, k):
+        """``(self.to_final(k), S, G)``: the final-time gain stack and its decays.
+
+        Block j of S, shape (n, k m), is the lambda_1-shifted flow from t_j
+        to t_k applied to Q_nu(j); G, shape (k m, N), holds each of its
+        columns' per-mode decay from t_j to t_k. Blocks carry decay, never
+        growth, so every entry stays representable.
+        """
+        to_final = self.to_final(k)
+        S = np.hstack(
+            [F @ self.jumps[(j - 1) % self.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
+        )
+        G = np.repeat(np.array([d for _, d in to_final[1:]]), self.system.m, axis=0)
+        return to_final, S, G
+
+    def project(self, U):
+        """Each slot's Gram matrix, cut to p x p, applied to its impulses' rows.
+
+        U has shape (..., k, m, p), p <= N, impulse j in block j - 1 of axis -3.
+        """
+        p = U.shape[-1]
+        out = np.empty_like(U)
+        for r, (_, gram) in enumerate(self.jumps):
+            rows = U[..., r :: self.hbar, :, :]
+            out[..., r :: self.hbar, :, :] = (
+                rows if gram is None else (rows.reshape(-1, p) @ gram[:p, :p]).reshape(rows.shape)
+            )
+        return out
 
 
 def l2_norm(state):

@@ -38,12 +38,14 @@ from .linalg import (
 from .observability import (
     RankDeficiencyError,
     _rank_search,
+    _spectral_tol,
     finite_obs_constant,
 )
 from .schedule import check_cycle, nu, time_at
 from .spectral import (
     Propagators,
     _PullbackTable,
+    _check_state,
     apply_semigroup,
     l2_norm,
     zero_state,
@@ -177,7 +179,7 @@ def simulate(system, sched, x0, controls, k, norms=False):
     check_cycle(system, sched)
     if k < 0:
         raise ValueError("impulse count must be nonnegative")
-    state = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    state = _check_state(system, x0).copy()
     shape = (system.m, system.domain.modes)
     if controls.impulses and controls.impulses[0].shape != shape:
         raise ValueError(
@@ -269,7 +271,7 @@ def _require_rank(system, sched, k, message):
 def _spectral_guard(P, lam1):
     # synthesis for unbounded growth is out of contract
     top = spectrum(P).max_real_part
-    if top > lam1 + 1e-9 * max(1.0, abs(lam1)):
+    if top > lam1 + _spectral_tol(lam1):
         raise ValueError(
             "the coupling matrix has an eigenvalue with real part above the "
             "first diffusion eigenvalue; ball-targeted steering is not "
@@ -351,8 +353,8 @@ def steer_first_mode(system, sched, v_target, k_max):
 
     The equations are posed at the final time t_k, in the engine's frame:
     ``sum_j F_j Q_nu(j) xi_j = -F_0 v_target`` with F_j the lambda_1-shifted
-    flow from t_j to t_k (`_final_stack`). Pulling them back to time 0
-    multiplies both sides by the invertible F_0^{-1}, so the solution set
+    flow from t_j to t_k (`Propagators.final_stack`). Pulling them back to
+    time 0 multiplies both sides by the invertible F_0^{-1}, so the solution set
     and its minimum-norm element are the same, but the final-time blocks
     never grow exponentially, whatever eigenvalues P has below lambda_1.
 
@@ -394,7 +396,7 @@ def _steer_mode1(props, sched, v, k_max):
     def solution_at(k):
         """Min-l2-norm exact solution of sum_j F_j Q_nu(j) xi_j = -F_0 v and
         its largest impulse norm, or None."""
-        to_final, S = _final_stack(props, k)
+        to_final, S, _ = props.final_stack(k)
         try:
             flat = min_norm_solve(S, -(to_final[0][0] @ v), require_exact=True)
         except UnreachableTargetError:
@@ -506,7 +508,7 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
-    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    x0 = _check_state(system, x0).copy()
     return _gcac(Propagators(system, sched), sched, x0, eps, k_max)
 
 
@@ -561,7 +563,7 @@ def null_steer(system, sched, x0, k_star):
         system, sched, k_star, f"gain stack does not span all components at horizon {k_star}"
     )
 
-    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    x0 = _check_state(system, x0).copy()
     return _null_steer(Propagators(system, sched), x0, k_star)
 
 
@@ -592,38 +594,16 @@ def _null_steer(props, x0, k_star):
     )
 
 
-def _final_stack(props, k):
-    """The engine's maps to impulse k and the final-time gain stack.
-
-    Returns ``(to_final, S)`` with to_final = ``props.to_final(k)`` and S,
-    shape (n, k m), whose block j is the lam1-shifted flow from t_j to t_k
-    applied to Q_nu(j). This final-time form keeps every entry
-    representable: blocks carry decay, never growth.
-    """
-    to_final = props.to_final(k)
-    S = np.hstack(
-        [F @ props.jumps[(j - 1) % props.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
-    )
-    return to_final, S
-
-
-def _row_decays(to_final, m):
-    """Per-mode decay from t_j to t_k for each of the k m columns of the
-    `_final_stack`, as rows: shape (k m, N)."""
-    return np.repeat(np.array([d for _, d in to_final[1:]]), m, axis=0)
-
-
 def _null_equations(props, x0, k):
     """Per-mode null steering equations ``A_i xi_i = b_i``, stacked over modes.
 
-    A has shape (N, n, k m): A_i is the `_final_stack` with block j scaled
-    by the decay of mode i relative to mode 1 from t_j to t_k. b, shape
-    (N, n), is minus the free final state, mode by mode.
+    A has shape (N, n, k m): A_i is the engine's final-time gain stack
+    with block j scaled by the decay of mode i relative to mode 1 from t_j
+    to t_k. b, shape (N, n), is minus the free final state, mode by mode.
     """
-    system = props.system
-    to_final, blocks = _final_stack(props, k)
+    to_final, blocks, G = props.final_stack(k)
     F0, d0 = to_final[0]
-    A = blocks[None, :, :] * _row_decays(to_final, system.m).T[:, None, :]
+    A = blocks[None, :, :] * G.T[:, None, :]
     b = -((F0 @ x0) * d0[None, :]).T
     return A, b
 
@@ -647,7 +627,7 @@ def constrained_null_synthesize(system, sched, x0, k_max):
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system.coupling, system.first_eigenvalue)
-    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    x0 = _check_state(system, x0).copy()
 
     k_star = _require_rank(
         system, sched, k_max, f"gain stack never spans all components within {k_max} impulses"
@@ -700,13 +680,13 @@ class _HorizonModel:
     """Control-to-state map at one fixed horizon k, its adjoint and descent.
 
     Controls are one stacked (k, m, N) array, impulse j in block j - 1.
-    From the zero state the map is linear: with S the final-time gain
-    stack of `_final_stack`, shape (n, k m), and G, shape (k m, N), the
-    per-mode decay of each control row from its impulse to t_k,
+    From the zero state the map is linear: with S, shape (n, k m), and G,
+    shape (k m, N), the engine's `final_stack` at k, the final-time gain
+    stack and each control row's per-mode decay to t_k,
     ``apply(U) = S @ (project(U) * G)`` and its adjoint
-    ``gradient(y) = project((S.T @ y) * G)``, where `_project` applies
-    each slot's Gram matrix to the rows of that slot's impulses in one
-    product (nothing on a full support). A descent step is a few products
+    ``gradient(y) = project((S.T @ y) * G)``, where the engine's `project`
+    applies each slot's Gram matrix to the rows of that slot's impulses in
+    one product (nothing on a full support). A descent step is a few products
     over all impulses at once; `forward` stays the loop of `simulate`
     (`_propagate`), the replay every returned residual comes from. Like
     `_propagate`, the build and the descent run with numpy's overflow
@@ -719,11 +699,9 @@ class _HorizonModel:
         self.props = props
         self.k = k
         self.shape = (k, system.m, system.domain.modes)
-        self.grams = [gram for _, gram in props.jumps]
         with np.errstate(over="ignore", invalid="ignore"):
-            to_final, self.S = _final_stack(props, k)
+            to_final, self.S, self.G = props.final_stack(k)
         self.F0, self.d0 = to_final[0]
-        self.G = _row_decays(to_final, system.m)
 
     def forward(self, x0, impulses):
         return _propagate(self.props, x0, impulses, self.k)
@@ -732,22 +710,13 @@ class _HorizonModel:
         """Final state of x0 under no control, from the map t_0 -> t_k."""
         return (self.F0 @ x0) * self.d0[None, :]
 
-    def _project(self, U):
-        """Each slot's Gram matrix applied to the rows of its impulses."""
-        hbar, N = len(self.grams), self.shape[2]
-        out = np.empty_like(U)
-        for r, gram in enumerate(self.grams):
-            rows = U[r::hbar]
-            out[r::hbar] = rows if gram is None else (rows.reshape(-1, N) @ gram).reshape(rows.shape)
-        return out
-
     def apply(self, U):
         """Final state from the zero state under the stacked controls U."""
-        return self.S @ (self._project(U).reshape(self.G.shape) * self.G)
+        return self.S @ (self.props.project(U).reshape(self.G.shape) * self.G)
 
     def gradient(self, final_state):
         """Stacked gradient of 0.5 * ||final state||^2: the adjoint of `apply`."""
-        return self._project(((self.S.T @ final_state) * self.G).reshape(self.shape))
+        return self.props.project(((self.S.T @ final_state) * self.G).reshape(self.shape))
 
     def descend(self, x0, U, iters, rng):
         """`iters` projected gradient steps of size 1/(1.05 L) from the controls U.
@@ -813,7 +782,7 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lam1 = system.first_eigenvalue
-    if symmetric_part_max_eig(system.coupling) > lam1 + 1e-9 * max(1.0, abs(lam1)):
+    if symmetric_part_max_eig(system.coupling) > lam1 + _spectral_tol(lam1):
         raise ValueError(
             "the symmetric part of the coupling matrix must stay at or below "
             "the first diffusion eigenvalue for descent-based steering"
@@ -822,7 +791,7 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         system, sched, k_max, f"gain stack does not span all components within {k_max} impulses"
     )
 
-    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    x0 = _check_state(system, x0).copy()
     if l2_norm(x0) <= eps:
         return SteeringResult(
             controls=ControlSequence(impulses=()),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import check_cycle, time_at
-from .spectral import Propagators, apply_semigroup, l2_norm, zero_state
+from .spectral import Propagators, _check_state, l2_norm, zero_state
 from .synthesis import NonFiniteStateError, _HorizonModel
 
 __all__ = [
@@ -189,7 +189,7 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
         raise ValueError("horizon must be at least 1")
     if grad_iters < 1:
         raise ValueError("grad_iters must be at least 1")
-    x0 = apply_semigroup(system, x0, 0.0)  # validates shape, copies
+    x0 = _check_state(system, x0).copy()
     n, N = system.n, system.domain.modes
     model = _HorizonModel(Propagators(system, sched), k)
     rng = np.random.default_rng(seed)

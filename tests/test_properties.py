@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
 from impulse_gcac.observability import (
     RankDeficiencyError,
+    _batch_readings,
+    _observation_sum,
     _rank_search,
+    _reading_maps,
     finite_obs_constant,
     rank_condition,
 )
@@ -26,6 +29,7 @@ from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
 from impulse_gcac.spectral import (
     Propagators,
     _PullbackTable,
+    apply_adjoint_semigroup,
     l2_norm,
     random_state,
     zero_state,
@@ -34,7 +38,6 @@ from impulse_gcac.synthesis import (
     BUDGET_SLACK,
     ControlSequence,
     _HorizonModel,
-    _final_stack,
     _null_equations,
     constrained_null_synthesize,
     gcac_synthesize,
@@ -185,6 +188,41 @@ def test_stacked_map_matches_the_replay_loop(case, k):
     assert np.linalg.norm(stacked - replay) <= 1e-12 * np.linalg.norm(replay)
 
 
+@example(
+    # two slots, full then local support, read on fewer modes than retained
+    case=(
+        make_system(
+            np.array([[-0.4, 0.3], [-0.2, 0.1]]),
+            [np.eye(2), np.array([[1.0, -0.5], [0.3, 1.0]])],
+            supports=[(0.0, math.pi), (0.4, 2.1)],
+            modes=6,
+        ),
+        ImpulseSchedule(base_times=(0.07, 0.2)),
+    ),
+    k=5,
+    ahead=1,
+    p=4,
+)
+@given(strict_systems(local=True), st.integers(1, 12), st.integers(0, 1), st.integers(1, 6))
+def test_stacked_readings_match_the_per_impulse_oracle(case, k, ahead, p):
+    # final = k reads at t_k (delta_obs_constant), final = k + 1 at t_{k+1}
+    # (interpolation_estimate); states on p <= N modes are zero-padded
+    system, sched = case
+    final = k + ahead
+    maps = _reading_maps(system, sched, k, final, p)
+    rng = np.random.default_rng(k + p)
+    Z = rng.standard_normal((3, system.n, p))
+    lhs, obs = _batch_readings(maps, Z)
+    T = time_at(sched, final)
+    for z, got_lhs, got_obs in zip(Z, lhs, obs):
+        padded = zero_state(system)
+        padded[:, :p] = z
+        want_lhs = l2_norm(apply_adjoint_semigroup(system, padded, T))
+        want_obs = _observation_sum(system, sched, padded, k, T)
+        assert got_lhs == pytest.approx(want_lhs, rel=1e-12)
+        assert got_obs == pytest.approx(want_obs, rel=1e-12)
+
+
 @given(strict_systems(local=True), st.integers(1, 12))
 def test_gradient_matches_central_differences(case, k):
     system, sched = case
@@ -247,7 +285,7 @@ def test_final_time_and_pull_back_frames_give_one_mode_1_solution(case, k, norm)
     rng = np.random.default_rng(k)
     v = rng.standard_normal(system.n)
     v *= norm / np.linalg.norm(v)
-    to_final, S = _final_stack(Propagators(system, sched), k)
+    to_final, S, _ = Propagators(system, sched).final_stack(k)
     final = min_norm_solve(S, -(to_final[0][0] @ v))
     shifted = system.coupling - LAM1 * np.eye(system.n)
     pulled = np.hstack(
@@ -386,3 +424,17 @@ def test_rank_failures_carry_a_witness_orthogonal_to_every_block(case, k, which)
     for j in range(1, k + 1):
         B = direct_block(P, gains, sched, j)
         assert np.linalg.norm(w @ B) <= 1e-8 * np.linalg.norm(B)
+
+
+@given(rank_cases(), st.integers(1, 6), st.integers(0, 1))
+def test_unobserved_directions_are_orthogonal_to_every_block(case, k, ahead):
+    P, gains, sched = case
+    system = make_system(P, gains, modes=6)
+    final = k + ahead
+    S = _reading_maps(system, sched, k, final, 6)[3]
+    null = column_span(S).null
+    shifted = P - LAM1 * np.eye(system.n)
+    for j in range(1, k + 1):
+        tau = time_at(sched, final) - time_at(sched, j)
+        B = mat_exp(shifted, tau) @ gains[nu(sched, j) - 1]
+        assert np.linalg.norm(null.T @ B) <= 1e-8 * np.linalg.norm(B)

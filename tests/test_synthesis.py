@@ -735,6 +735,31 @@ def test_local_gcac_rejects_a_mis_shaped_initial_state():
         local_gcac_synthesize(system, unit_schedule(), np.ones((2, 1)), 0.1, 8)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["apply_semigroup", "simulate", "gcac", "null", "constrained", "local", "gap"],
+)
+def test_entry_points_reject_a_nan_initial_state(entry):
+    # a NaN entry is invalid input, not a state that overflowed on the way
+    from impulse_gcac.witness import reachability_gap
+
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    sched = unit_schedule()
+    x0 = np.ones((2, 8))
+    x0[1, 3] = math.nan
+    call = {
+        "apply_semigroup": lambda: apply_semigroup(system, x0, 1.0),
+        "simulate": lambda: simulate(system, sched, x0, ControlSequence(impulses=()), 2),
+        "gcac": lambda: gcac_synthesize(system, sched, x0, 0.1, 8),
+        "null": lambda: null_steer(system, sched, x0, 2),
+        "constrained": lambda: constrained_null_synthesize(system, sched, x0, 8),
+        "local": lambda: local_gcac_synthesize(system, sched, x0, 0.1, 8),
+        "gap": lambda: reachability_gap(system, sched, x0, 2, 5),
+    }[entry]
+    with pytest.raises(ValueError, match="state entries must be finite"):
+        call()
+
+
 def test_local_gcac_rejects_rank_deficient_gains():
     system = two_component_invariant_system(modes=8)
     x0 = zero_state(system)

@@ -1,10 +1,12 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Contract-focused wrappers around LAPACK routines (via numpy/scipy): matrix
-exponential, the span of a column stack, minimum-norm least squares, and
-eigenvalue summaries. Everything operates on plain float ndarrays; inputs
-are validated once here so downstream modules can assume finite, correctly
-shaped matrices.
+Contract-focused wrappers around numpy's LAPACK routines: the span of a
+column stack, minimum-norm least squares, and eigenvalue summaries; and
+the matrix exponential, by Pade scaling and squaring with the degree
+selection of N. J. Higham (SIAM J. Matrix Anal. Appl. 26, 2005), in plain
+numpy. Everything operates on plain float ndarrays; inputs are validated
+once here so downstream modules can assume finite, correctly shaped
+matrices.
 `column_span` makes the package's only rank decision: every rank, its null
 direction and every Gramian constant are read from its SVD.
 """
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RANK_TOL",
@@ -71,10 +72,47 @@ def as_matrix(a, rows=None, cols=None):
     return m
 
 
+# Scaling and squaring after N. J. Higham, "The scaling and squaring method
+# for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26
+# (2005): theta_m is the largest 1-norm of A for which the degree-m Pade
+# approximant of exp(A) has a backward error below the unit roundoff in
+# double precision (Table 2.3), and b holds its numerator coefficients.
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (
+        7,
+        9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    ),
+    (
+        9,
+        2.097847961257068e0,
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+    ),
+)
+_THETA_13 = 5.371920351148152e0
+_B13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
 def mat_exp(M, t=1.0):
     """Matrix exponential exp(M*t).
 
-    Uses scaling-and-squaring with a fixed-order rational (Pade) kernel.
+    Scaling and squaring with Pade approximants after Higham (2005): the
+    degree m in {3, 5, 7, 9, 13} is the lowest whose threshold theta_m
+    bounds the 1-norm of M*t, and only degree 13 scales the argument by a
+    power of two, squaring the result back. Each approximant is one
+    linear solve ``(V - U) R = V + U``. A diagonal argument, 1x1
+    included, returns the exponential of its diagonal exactly. Entries
+    that overflow come back as inf or nan, without a warning, for the
+    callers' finiteness checks.
 
     Parameters
     ----------
@@ -94,7 +132,52 @@ def mat_exp(M, t=1.0):
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    return scipy.linalg.expm(M * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expm(M * t)
+
+
+def _expm(A):
+    """exp(A) for a square float matrix A, under the caller's errstate."""
+    d = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(d):
+        return np.diag(np.exp(d))
+    norm = float(np.abs(A).sum(axis=0).max())
+    if not math.isfinite(norm):
+        # M*t overflowed: the exponential has no representable value
+        return np.full(A.shape, np.nan)
+    # degree 13 runs on A / 2^s, the smallest s with ||A / 2^s||_1 <= theta_13
+    s = 0
+    if norm > _THETA_13:
+        frac, s = math.frexp(norm / _THETA_13)
+        s -= frac == 0.5
+        A = A * 2.0**-s
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            V, W = b[0] * ident + b[2] * A2, b[1] * ident + b[3] * A2
+            power = A2
+            for i in range(4, m + 1, 2):
+                power = power @ A2
+                V = V + b[i] * power
+                W = W + b[i + 1] * power
+            U = A @ W
+            return np.linalg.solve(V - U, V + U)
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    b = _B13
+    U = A @ (
+        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident
+    )
+    V = (
+        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+    )
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 class Span(NamedTuple):

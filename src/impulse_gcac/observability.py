@@ -218,8 +218,7 @@ def _reading_maps(system, sched, k, final, modes):
     `final_stack(final)` cut to k impulses; decays cut to `modes` modes.
     """
     props = Propagators(system, sched)
-    to_final, S, G = props.final_stack(final)
-    F0, d0 = to_final[0]
+    F0, d0, S, G = props.final_stack(final)
     cut = k * system.m
     return props, F0.T, d0[:modes], S[:, :cut], G[:cut, :modes]
 

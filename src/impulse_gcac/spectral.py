@@ -344,10 +344,13 @@ class Propagators:
     plus the controller's gain and Gram matrix (None on a full support).
     `advance` is the one flow-and-jump step of every forward loop, and
     `to_final` the maps from each impulse to a final impulse (adjoint maps
-    are their transposes). `final_stack` and `project` are the one
-    control-to-state map and its adjoint, for synthesis, the witness and
-    the observability readings alike. Construction costs hbar matrix
-    exponentials; an engine lives for one call and is never cached beyond it.
+    are their transposes). `gain_stack` (with its decays, `final_stack`)
+    and `project` are the one control-to-state map and its adjoint, for
+    synthesis, the witness and the observability readings alike.
+    `to_final`, `gain_stack` and `final_stack` read one backward product
+    per slot, which the engine keeps and extends for later horizons.
+    Construction costs hbar matrix exponentials; an engine lives for one
+    call and is never cached beyond it.
     """
 
     def __init__(self, system, sched):
@@ -365,6 +368,7 @@ class Propagators:
             gram = None if system._full[r - 1] else system.overlap(r)
             self.jumps.append((system.gain(r), gram))
             prev = b
+        self._tails = {}
 
     def advance(self, state, j, u=None):
         """State just after impulse j from the state just after impulse j - 1.
@@ -379,6 +383,35 @@ class Propagators:
             state = state + gain @ (u if gram is None else u @ gram)
         return state
 
+    def _backward(self, k):
+        """The engine's one backward product from t_k: (maps, decays, S).
+
+        maps[i] and decays[i] are the lambda_1-shifted flow and per-mode
+        decay over the last i impulses before t_k, i = 0..k and beyond;
+        S holds each of those impulses' gain under its flow, latest impulse
+        last. Read backwards from t_k, these products depend on k only
+        through its slot, so the engine keeps one product per slot and
+        extends it on demand: every shorter horizon of the same slot reads
+        the tail of the longest one built, bit for bit.
+        """
+        r = k % self.hbar
+        n = self.system.n
+        maps, decays, S = self._tails.get(
+            r, ([np.eye(n)], [np.ones(self.system.domain.modes)], np.zeros((n, 0)))
+        )
+        if len(maps) <= k:
+            # the impulse k - i, where maps[i] starts, uses slot (k - i - 1) mod hbar
+            blocks = []
+            for i in range(len(maps) - 1, k):
+                slot = (r - i - 1) % self.hbar
+                E, decay = self.steps[slot]
+                blocks.append(maps[i] @ self.jumps[slot][0])
+                maps.append(maps[i] @ E)
+                decays.append(decays[i] * decay)
+            S = np.hstack(blocks[::-1] + [S])
+            self._tails[r] = (maps, decays, S)
+        return maps, decays, S
+
     def to_final(self, k):
         """Shifted flow from t_j to t_k for j = 0..k, as (map, decay) pairs.
 
@@ -386,30 +419,29 @@ class Propagators:
         exp(-(lambda - lambda_1)(t_k - t_j)))``, accumulated backwards from
         t_k by one step product per impulse; entry k is the identity.
         """
-        F = np.eye(self.system.n)
-        d = np.ones(self.system.domain.modes)
-        out = [(F, d)]
-        for j in range(k, 0, -1):
-            E, decay = self.steps[(j - 1) % self.hbar]
-            F = F @ E
-            d = d * decay
-            out.append((F, d))
-        return out[::-1]
+        maps, decays, _ = self._backward(k)
+        return list(zip(maps[k::-1], decays[k::-1]))
 
-    def final_stack(self, k):
-        """``(self.to_final(k), S, G)``: the final-time gain stack and its decays.
+    def gain_stack(self, k):
+        """``(F0, S)``: the final-time gain stack at k, maps only.
 
         Block j of S, shape (n, k m), is the lambda_1-shifted flow from t_j
-        to t_k applied to Q_nu(j); G, shape (k m, N), holds each of its
-        columns' per-mode decay from t_j to t_k. Blocks carry decay, never
-        growth, so every entry stays representable.
+        to t_k applied to Q_nu(j), and F0 is that flow from t_0. Blocks
+        carry decay, never growth, so every entry stays representable.
         """
-        to_final = self.to_final(k)
-        S = np.hstack(
-            [F @ self.jumps[(j - 1) % self.hbar][0] for j, (F, _) in enumerate(to_final[1:], 1)]
-        )
-        G = np.repeat(np.array([d for _, d in to_final[1:]]), self.system.m, axis=0)
-        return to_final, S, G
+        maps, _, S = self._backward(k)
+        return maps[k], S[:, S.shape[1] - k * self.system.m :]
+
+    def final_stack(self, k):
+        """``(F0, d0, S, G)``: the gain stack of `gain_stack` and its decays.
+
+        d0 is the per-mode decay from t_0 to t_k, and G, shape (k m, N),
+        holds each column of S's per-mode decay from t_j to t_k.
+        """
+        F0, S = self.gain_stack(k)
+        decays = self._backward(k)[1]
+        G = np.repeat(np.array(decays[:k][::-1]), self.system.m, axis=0)
+        return F0, decays[k], S, G
 
     def project(self, U):
         """Each slot's Gram matrix, cut to p x p, applied to its impulses' rows.

@@ -353,7 +353,8 @@ def steer_first_mode(system, sched, v_target, k_max):
 
     The equations are posed at the final time t_k, in the engine's frame:
     ``sum_j F_j Q_nu(j) xi_j = -F_0 v_target`` with F_j the lambda_1-shifted
-    flow from t_j to t_k (`Propagators.final_stack`). Pulling them back to
+    flow from t_j to t_k (`Propagators.gain_stack`, which serves every
+    candidate horizon of a slot from one stack). Pulling them back to
     time 0 multiplies both sides by the invertible F_0^{-1}, so the solution set
     and its minimum-norm element are the same, but the final-time blocks
     never grow exponentially, whatever eigenvalues P has below lambda_1.
@@ -396,9 +397,9 @@ def _steer_mode1(props, sched, v, k_max):
     def solution_at(k):
         """Min-l2-norm exact solution of sum_j F_j Q_nu(j) xi_j = -F_0 v and
         its largest impulse norm, or None."""
-        to_final, S, _ = props.final_stack(k)
+        F0, S = props.gain_stack(k)
         try:
-            flat = min_norm_solve(S, -(to_final[0][0] @ v), require_exact=True)
+            flat = min_norm_solve(S, -(F0 @ v), require_exact=True)
         except UnreachableTargetError:
             return None
         xi = [flat[j * m : (j + 1) * m] for j in range(k)]
@@ -601,8 +602,7 @@ def _null_equations(props, x0, k):
     with block j scaled by the decay of mode i relative to mode 1 from t_j
     to t_k. b, shape (N, n), is minus the free final state, mode by mode.
     """
-    to_final, blocks, G = props.final_stack(k)
-    F0, d0 = to_final[0]
+    F0, d0, blocks, G = props.final_stack(k)
     A = blocks[None, :, :] * G.T[:, None, :]
     b = -((F0 @ x0) * d0[None, :]).T
     return A, b
@@ -700,8 +700,7 @@ class _HorizonModel:
         self.k = k
         self.shape = (k, system.m, system.domain.modes)
         with np.errstate(over="ignore", invalid="ignore"):
-            to_final, self.S, self.G = props.final_stack(k)
-        self.F0, self.d0 = to_final[0]
+            self.F0, self.d0, self.S, self.G = props.final_stack(k)
 
     def forward(self, x0, impulses):
         return _propagate(self.props, x0, impulses, self.k)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import settings
 
@@ -42,6 +43,13 @@ def two_component_invariant_system(modes=32, support=None):
         length=length,
         modes=modes,
     )
+
+
+def oracle_exp(M, t):
+    """exp(M t) in 40-digit arithmetic, rounded to floats."""
+    with mpmath.workdps(40):
+        out = mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t))
+        return np.array(out.tolist(), dtype=float)
 
 
 def unit_schedule():

@@ -370,6 +370,18 @@ def test_running_the_cli_module_prints_no_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test-only dependency: every CLI run would pay for its import
+    src = str(Path(impulse_gcac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import impulse_gcac.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("task", ["synthesize-gcac", "synthesize-null", "synthesize-local"])
 def test_last_trajectory_row_is_the_residual_bitwise(tmp_path, task):
     doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)

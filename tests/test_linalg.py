@@ -1,8 +1,8 @@
 """Tests for the dense linear-algebra kernels.
 
 The matrix exponential is checked against an independent 30-term power
-series, and numerical_rank against exact rational-arithmetic elimination
-on integer matrices.
+series and a 40-digit mpmath exponential, and numerical_rank against exact
+rational-arithmetic elimination on integer matrices.
 """
 
 import math
@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from impulse_gcac.linalg import (
+    _PADE,
+    _THETA_13,
     UnreachableTargetError,
     as_matrix,
     mat_exp,
@@ -20,6 +22,9 @@ from impulse_gcac.linalg import (
     spectrum,
     symmetric_part_max_eig,
 )
+from impulse_gcac.synthesis import ControlSequence, NonFiniteStateError, simulate
+
+from conftest import make_system, oracle_exp, unit_schedule
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -101,6 +106,47 @@ def test_mat_exp_group_law():
         whole = mat_exp(M, s + t)
         split = mat_exp(M, s) @ mat_exp(M, t)
         assert np.linalg.norm(split - whole, 2) <= 1e-10 * np.linalg.norm(whole, 2)
+
+
+@pytest.mark.parametrize("theta", [theta for _, theta, _ in _PADE] + [_THETA_13])
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_mat_exp_matches_the_oracle_on_both_sides_of_each_degree_threshold(theta, side):
+    # ||M t||_1 just below theta_m takes degree m, just above the next degree
+    # up (or one halving before degree 13)
+    rng = np.random.default_rng(2005)
+    for n in range(1, 5):
+        for t in (0.5, -2.0):
+            A = rng.standard_normal((n, n))
+            A *= theta * side / np.abs(A).sum(axis=0).max()
+            M = A / t
+            ref = oracle_exp(M, t)
+            assert np.linalg.norm(mat_exp(M, t) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_mat_exp_of_a_diagonal_is_the_exponential_of_its_entries_bitwise():
+    for d in ([0.7], [-3.0], [2.0, -0.5], [1e-3, 0.0, -40.0, 5.5]):
+        D = np.diag(d)
+        for t in (0.3, -1.7, 12.0):
+            np.testing.assert_array_equal(mat_exp(D, t), np.diag(np.exp(np.array(d) * t)))
+
+
+def test_mat_exp_at_time_zero_is_the_identity_exactly():
+    M = np.random.default_rng(3).uniform(-5.0, 5.0, (4, 4))
+    np.testing.assert_array_equal(mat_exp(M, 0.0), np.eye(4))
+
+
+def test_overflowing_exponential_is_non_finite_without_a_warning():
+    # exp(800) overflows; the suite turns any numpy warning into an error
+    P = np.array([[800.0, 1.0], [0.0, 700.0]])
+    assert not np.all(np.isfinite(mat_exp(P, 1.0)))
+    assert not np.all(np.isfinite(mat_exp(np.diag([800.0, 1.0]), 1.0)))
+    # M * t itself overflows: no representable exponential at all
+    assert np.all(np.isnan(mat_exp(np.full((2, 2), 1e300), 1e10)))
+    system = make_system(P, [np.eye(2)], modes=4)
+    x0 = np.zeros((2, 4))
+    x0[0, 0] = 1.0
+    with pytest.raises(NonFiniteStateError):
+        simulate(system, unit_schedule(), x0, ControlSequence(impulses=()), 1)
 
 
 def test_mat_exp_rejects_bad_input():

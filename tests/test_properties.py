@@ -9,7 +9,6 @@ spectrum stays below the first diffusion eigenvalue, and the period.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,7 +47,7 @@ from impulse_gcac.synthesis import (
 )
 from impulse_gcac.witness import reachability_gap
 
-from conftest import make_system
+from conftest import make_system, oracle_exp
 
 LAM1 = 1.0  # first diffusion eigenvalue on (0, pi)
 
@@ -84,13 +83,6 @@ def strict_systems(draw, local=False, modes=6, dissipative=False, periods=(0.02,
     return system, ImpulseSchedule(base_times=base)
 
 
-def oracle_exp(M, t):
-    """exp(M t) in 40-digit arithmetic, rounded to floats."""
-    with mpmath.workdps(40):
-        out = mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t))
-        return np.array(out.tolist(), dtype=float)
-
-
 def rel_err(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
@@ -109,8 +101,8 @@ def test_engine_maps_match_direct_exponentials(case, k):
         lam = system.domain.eigenvalues()
         assert np.allclose(decay, np.exp(-(lam - LAM1) * dt), rtol=1e-12, atol=0.0)
     # pull-backs: the first period against direct mat_exp, and out to k
-    # against a high-precision oracle (direct mat_exp itself drifts to
-    # about 4e-11 at t_512 for n >= 2, the periodic table does not)
+    # against a high-precision oracle (direct mat_exp over such long times
+    # has a test of its own, test_direct_mat_exp_stays_accurate_at_t_512)
     pull = _PullbackTable(P, LAM1, sched)
     for j in range(1, 2 * sched.hbar + 1):
         assert rel_err(pull(j), mat_exp(-shifted, time_at(sched, j))) <= 1e-12
@@ -123,6 +115,47 @@ def test_engine_maps_match_direct_exponentials(case, k):
         F, _ = to_final[j]
         tau = time_at(sched, k) - time_at(sched, j)
         assert rel_err(F, oracle_exp(shifted, tau)) <= 1e-12
+
+
+def test_direct_mat_exp_stays_accurate_at_t_512():
+    # couplings with spectra in [-0.5, 1), shifted by LAM1: the scaling and
+    # squaring of one long flow must not lose more than its rounding
+    rng = np.random.default_rng(512)
+    worst = 0.0
+    for i in range(48):
+        n = 2 + i % 2
+        while True:
+            raw = rng.uniform(-0.5, 0.5, (n, n))
+            top = float(np.linalg.eigvals(raw).real.max())
+            P = raw + (LAM1 - rng.uniform(0.01, 0.5) - top) * np.eye(n)
+            if np.linalg.eigvals(P).real.min() >= -0.5:
+                break
+        shifted = P - LAM1 * np.eye(n)
+        worst = max(worst, rel_err(mat_exp(shifted, 512.0), oracle_exp(shifted, 512.0)))
+    assert worst <= 1e-12
+
+
+@given(strict_systems(), st.integers(1, 40), st.integers(0, 40))
+def test_shorter_gain_stacks_are_tails_of_longer_ones_bitwise(case, k, extra):
+    # the engine answers horizon k from the product it built for K = k + c hbar,
+    # never from the longer one of another slot (K + 1, when hbar > 1); the
+    # reference multiplies the step maps backwards from t_k afresh
+    system, sched = case
+    K = k + sched.hbar * (extra // sched.hbar)
+    props = Propagators(system, sched)
+    props.gain_stack(K + 1)
+    props.gain_stack(K)
+    F0, d0, S, G = props.final_stack(k)
+    F, d, blocks, decays = np.eye(system.n), np.ones(system.domain.modes), [], []
+    for j in range(k, 0, -1):
+        blocks.append(F @ system.gain(nu(sched, j)))
+        decays.append(d)
+        E, decay = props.steps[(j - 1) % sched.hbar]
+        F, d = F @ E, d * decay
+    assert np.array_equal(F0, F) and np.array_equal(d0, d)
+    assert np.array_equal(S, np.hstack(blocks[::-1]))
+    assert np.array_equal(G, np.repeat(np.array(decays[::-1]), system.m, axis=0))
+    assert np.array_equal(props.to_final(k)[0][0], F)
 
 
 @given(
@@ -285,8 +318,8 @@ def test_final_time_and_pull_back_frames_give_one_mode_1_solution(case, k, norm)
     rng = np.random.default_rng(k)
     v = rng.standard_normal(system.n)
     v *= norm / np.linalg.norm(v)
-    to_final, S, _ = Propagators(system, sched).final_stack(k)
-    final = min_norm_solve(S, -(to_final[0][0] @ v))
+    F0, S = Propagators(system, sched).gain_stack(k)
+    final = min_norm_solve(S, -(F0 @ v))
     shifted = system.coupling - LAM1 * np.eye(system.n)
     pulled = np.hstack(
         [mat_exp(-shifted, time_at(sched, j)) @ system.gain(nu(sched, j)) for j in range(1, k + 1)]

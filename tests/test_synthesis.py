@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from impulse_gcac import synthesis
+from impulse_gcac.linalg import min_norm_solve
 from impulse_gcac.observability import (
     RankDeficiencyError,
     finite_obs_constant,
@@ -259,6 +260,40 @@ def test_steer_first_mode_on_seeded_systems():
         x0[:, 0] = v
         replay = simulate(system, sched, x0, res.controls, res.horizon_k)
         assert abs(l2_norm(replay) - res.residual) <= 1e-10
+
+
+@pytest.mark.parametrize("hbar", [1, 2, 3])
+def test_steer_first_mode_is_bitwise_the_same_on_a_warm_engine(hbar):
+    # the search reads every horizon of a slot from one cached product: an
+    # engine whose products were built to k_max first, and a direct solve on
+    # a fresh engine at the horizon found, give the same impulses bit for bit
+    rng = np.random.default_rng(100 + hbar)
+    k_max = 256
+    for n, m in ((2, 1), (3, 2), (2, 2)):
+        raw = 0.5 * rng.standard_normal((n, n))
+        P = raw - max(np.real(np.linalg.eigvals(raw)).max() - 0.7, 0.0) * np.eye(n)
+        system = make_system(P, [rng.standard_normal((n, m)) for _ in range(hbar)], modes=8)
+        period = float(rng.uniform(0.1, 0.6))
+        fractions = np.sort(rng.uniform(0.2, 0.9, hbar - 1))
+        sched = ImpulseSchedule(base_times=tuple(period * fractions) + (period,))
+        for norm in (0.8, 4.0, 15.0):
+            v = rng.standard_normal(n)
+            v *= norm / np.linalg.norm(v)
+            cold = steer_first_mode(system, sched, v, k_max)
+            warm_props = Propagators(system, sched)
+            for K in range(k_max - hbar + 1, k_max + 1):
+                warm_props.gain_stack(K)
+            warm = synthesis._steer_mode1(warm_props, sched, v, k_max)
+            k = cold.horizon_k
+            assert warm.horizon_k == k
+            F0, S = Propagators(system, sched).gain_stack(k)
+            flat = min_norm_solve(S, -(F0 @ v), require_exact=True)
+            for j, (u, w) in enumerate(
+                zip(cold.controls.impulses, warm.controls.impulses, strict=True)
+            ):
+                assert np.array_equal(u, w)
+                assert np.array_equal(u[:, 0], flat[j * m : (j + 1) * m])
+                assert not np.any(u[:, 1:])
 
 
 def test_steer_first_mode_requires_full_supports():

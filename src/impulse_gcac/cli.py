@@ -550,14 +550,15 @@ def _task_local(scenario):
     )
     result = _steering_summary(res)
     result["eps"] = scenario.parameters["eps"]
-    result["iterations"] = res.details["iterations"]
-    result["residual_by_horizon"] = {str(k): v for k, v in res.details["residual_by_horizon"].items()}
-    result["best_iteration_by_horizon"] = {
-        str(k): v for k, v in res.details["best_iteration_by_horizon"].items()
-    }
-    constants = [
-        {"name": "pgd_step_sizes", "value": list(res.details["step_sizes"]), "method": "sampled-fit"}
-    ]
+    details = res.details
+    result["iterations"] = details["iterations"]
+    for key in ("residual_by_horizon", "best_iteration_by_horizon", "verdict_by_horizon",
+                "bound_by_horizon", "steps_by_horizon"):
+        result[key] = {str(k): v for k, v in details[key].items()}
+    result["bracket"] = list(details["bracket"])
+    # backtracking checks the step only at the points it visits: not certified
+    steps = {str(k): v for k, v in details["step_sizes"].items()}
+    constants = [{"name": "pgd_step_sizes", "value": steps, "method": "sampled-fit"}]
     rows = _rows(scenario, x0, res.controls, res.horizon_k)
     return result, constants, rows
 

@@ -34,7 +34,7 @@ from .linalg import (
     symmetric_part_max_eig,
 )
 from .schedule import check_cycle, nu, time_at
-from .spectral import Propagators, _PullbackTable, apply_adjoint_semigroup
+from .spectral import NonFiniteStateError, Propagators, _PullbackTable, apply_adjoint_semigroup
 
 __all__ = [
     "ObservabilityReport",
@@ -391,13 +391,17 @@ def semigroup_norm(system, t):
 
     Equals ``exp(-lambda_1 t) ||exp(P t)||_2`` by the mode-wise block
     structure; evaluated as the top singular value of the lambda_1-shifted
-    exponential so the identity-coupling case returns exactly 1.
+    exponential so the identity-coupling case returns exactly 1. Raises
+    NonFiniteStateError when that exponential overflows.
     """
     t = float(t)
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     shifted = system.coupling - system.first_eigenvalue * np.eye(system.n)
-    return float(np.linalg.norm(mat_exp(shifted, t), 2))
+    E = mat_exp(shifted, t)
+    if not np.all(np.isfinite(E)):
+        raise NonFiniteStateError(f"the flow over t = {t} overflowed")
+    return float(np.linalg.norm(E, 2))
 
 
 def _spectral_tol(lam1):

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+class NonFiniteStateError(ArithmeticError):
+    """A propagated state or a bound overflowed to inf or nan."""
+
+
 @dataclass(frozen=True)
 class SpectralDomain:
     """Interval (0, length) with Dirichlet sine modes 1..modes.
@@ -252,7 +256,11 @@ def _flow(system, state, t, adjoint):
     shifted = base - lam1 * np.eye(system.n)
     E = mat_exp(shifted, t)
     decay = np.exp(-(lam - lam1) * t)
-    return (E @ st) * decay[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (E @ st) * decay[None, :]
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteStateError(f"the flow over t = {t} overflowed")
+    return out
 
 
 def apply_semigroup(system, state, t):
@@ -261,7 +269,8 @@ def apply_semigroup(system, state, t):
     Column i is multiplied by ``exp(-lambda_i t) exp(P t)``. Internally the
     commuting shift by lambda_1 is factored out, so the computation stays
     bounded for large t whenever the coupling spectrum does not exceed
-    lambda_1, and is exact up to the matrix-exponential kernel.
+    lambda_1, and is exact up to the matrix-exponential kernel. Raises
+    NonFiniteStateError when the flowed state overflows.
     """
     return _flow(system, state, t, adjoint=False)
 

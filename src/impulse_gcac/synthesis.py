@@ -5,8 +5,8 @@ system:
 
 * exact mode-1 steering with unit-ball controls (full supports),
 * approximate steering to any ball around the origin (full supports),
-* approximate steering with proper subinterval supports, by projected
-  gradient descent on the truncation,
+* approximate steering with proper subinterval supports, by FISTA on the
+  truncation, whose dual bound proves a horizon infeasible,
 * exact constrained null steering (full supports), which composes the
   previous routines with a Gramian-ball argument.
 
@@ -24,7 +24,7 @@ search.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .observability import (
 )
 from .schedule import check_cycle, nu, time_at
 from .spectral import (
+    NonFiniteStateError,
     Propagators,
     _PullbackTable,
     _check_state,
@@ -81,10 +82,6 @@ class HorizonExhaustedError(RuntimeError):
     def __init__(self, message, best_sup=math.inf):
         super().__init__(message)
         self.best_sup = best_sup
-
-
-class NonFiniteStateError(ArithmeticError):
-    """A propagated state or a bound overflowed to inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -676,6 +673,39 @@ def constrained_null_synthesize(system, sched, x0, k_max):
     )
 
 
+class _Descent(NamedTuple):
+    """A `_HorizonModel.descend` result: step is the final 1/L (None when no
+    step ran) and best the step that produced impulses (0 is the start)."""
+
+    residual: float
+    impulses: np.ndarray
+    step: Optional[float]
+    best: int
+    bound: float
+    steps: int
+
+
+def _dual_bound(free, r, obs):
+    """Lower bound on every unit-ball control's final-state norm from the
+    direction r, given ``obs = gradient(r)``: the pairing of free + apply(U)
+    with r / ||r|| is at least ``(<free, r> - sum_j ||obs_j||) / ||r||``.
+    r and obs are first divided by r's largest entry, so no square
+    overflows before the bound itself would."""
+    scale = float(np.max(np.abs(r)))
+    if scale == 0.0:
+        return 0.0
+    r, obs = r / scale, obs / scale
+    paired = float(np.vdot(free, r)) - float(np.linalg.norm(obs, axis=(1, 2)).sum())
+    return paired / l2_norm(r)
+
+
+def _verdict(residual, bound, eps):
+    """'reached', 'infeasible' (the bound exceeds eps beyond rounding) or 'undecided'."""
+    if residual <= eps:
+        return "reached"
+    return "infeasible" if bound > eps * (1.0 + 1e-9) else "undecided"
+
+
 class _HorizonModel:
     """Control-to-state map at one fixed horizon k, its adjoint and descent.
 
@@ -686,12 +716,13 @@ class _HorizonModel:
     ``apply(U) = S @ (project(U) * G)`` and its adjoint
     ``gradient(y) = project((S.T @ y) * G)``, where the engine's `project`
     applies each slot's Gram matrix to the rows of that slot's impulses in
-    one product (nothing on a full support). A descent step is a few products
-    over all impulses at once; `forward` stays the loop of `simulate`
+    one product (nothing on a full support). A descent step is one `apply`
+    and one `gradient` over all impulses at once, and its gradient also
+    gives a dual bound; `forward` stays the loop of `simulate`
     (`_propagate`), the replay every returned residual comes from. Like
     `_propagate`, the build and the descent run with numpy's overflow
     warnings off (`reachability_gap` turns them off for its dual side);
-    an overflowed replay ends in NonFiniteStateError.
+    an overflow in the descent or its replay ends in NonFiniteStateError.
     """
 
     def __init__(self, props, k):
@@ -717,63 +748,104 @@ class _HorizonModel:
         """Stacked gradient of 0.5 * ||final state||^2: the adjoint of `apply`."""
         return self.props.project(((self.S.T @ final_state) * self.G).reshape(self.shape))
 
-    def descend(self, x0, U, iters, rng):
-        """`iters` projected gradient steps of size 1/(1.05 L) from the controls U.
+    def descend(self, x0, U, iters, eps=None):
+        """At most `iters` FISTA steps with backtracking from the controls U.
 
-        U has shape (k, m, N). Iterates are evaluated as ``free + apply``;
-        every step divides each impulse by max(its norm, 1), and L is
-        estimated from `rng`. Returns (residual, impulses, step, iteration)
-        for the first iterate of smallest final-state norm, the last one
-        included: iteration counts the steps taken from U (0 is U itself)
-        and residual is the norm of the `forward` replay of impulses, so a
-        `simulate` replay reproduces it bitwise.
+        Minimizes ``0.5 ||free + apply(V)||^2`` over V, shape (k, m, N), in
+        the product of unit balls (A. Beck and M. Teboulle, SIAM J. Imaging
+        Sci. 2 (2009), sec. 4). Each step projects ``Y - gradient(Y) / L``
+        at the extrapolated point Y, dividing each impulse by max(its norm,
+        1), and doubles L until the quadratic upper bound holds at the
+        result; L starts at the Rayleigh quotient of the first gradient.
+        The image of Y is the same combination of the last two iterates'
+        images, so a step costs one `apply` and one `gradient`.
 
-        Raises NonFiniteStateError when that replay overflows.
+        Every gradient, at r = free + apply(Y), gives the dual bound
+        `_dual_bound`, and the best one is kept. With eps the descent stops
+        once an iterate's residual is at most eps or the bound proves eps
+        out of reach (`_verdict`); without it, once the bound is within a
+        relative 1e-10 of the best residual.
+
+        Returns a `_Descent` for the first iterate of smallest final-state
+        norm; its residual is the norm of the `forward` replay of the
+        impulses, so a `simulate` replay reproduces it bitwise. Raises
+        NonFiniteStateError when an iterate, a gradient or the replay
+        overflows.
         """
+        overflow = NonFiniteStateError(f"the descent at horizon {self.k} overflowed")
         with np.errstate(over="ignore", invalid="ignore"):
-            # power iteration approaches the true constant from below; the
-            # margin keeps the step at or under 1/L
-            step = 1.0 / (_lipschitz_estimate(self, rng) * 1.05)
             free = self.free(x0)
-            best_res, best_u, best_i = math.inf, U, 0
-            for i in range(iters + 1):
-                final = free + self.apply(U)
-                res = l2_norm(final)
+            Y = U
+            AU = AY = self.apply(U)
+            t, L, bound, steps = 1.0, None, -math.inf, 0
+            best_res, best_u, best_i = l2_norm(free + AU), U, 0
+            while True:
+                r = free + AY
+                g = self.gradient(r)
+                bound = max(bound, _dual_bound(free, r, g))
+                if not math.isfinite(bound):
+                    raise overflow
+                if steps == iters:
+                    break
+                if eps is None:
+                    if best_res - bound <= 1e-10 * best_res:
+                        break
+                elif _verdict(best_res, bound, eps) != "undecided":
+                    break
+                if L is None:
+                    # the first gradient's Rayleigh quotient, at most the
+                    # Lipschitz constant (1 when that gradient vanishes); d
+                    # has entries of at most 1, so no square overflows
+                    d = g / (float(np.max(np.abs(g))) or 1.0)
+                    L = float(np.square(l2_norm(self.apply(d)) / (l2_norm(d) or 1.0))) or 1.0
+                # the slack absorbs the rounding of A (V - Y) once steps are tiny
+                slack = 1e-12 * float(np.vdot(r, r))
+                for _ in range(60):
+                    V = Y - g / L
+                    V /= np.maximum(np.linalg.norm(V, axis=(1, 2)), 1.0)[:, None, None]
+                    AV = self.apply(V)
+                    curve = float(np.vdot(AV - AY, AV - AY))
+                    if not (math.isfinite(curve) and math.isfinite(L)):
+                        raise overflow
+                    if curve <= L * float(np.vdot(V - Y, V - Y)) + slack:
+                        break
+                    L *= 2.0
+                else:
+                    break  # rounding swamps the curvature: no step is verifiable
+                steps += 1
+                res = l2_norm(free + AV)
                 if res < best_res:
-                    best_res, best_u, best_i = res, U, i
-                if i < iters:
-                    U = U - step * self.gradient(final)
-                    U /= np.maximum(np.linalg.norm(U, axis=(1, 2)), 1.0)[:, None, None]
+                    best_res, best_u, best_i = res, V, steps
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                beta = (t - 1.0) / t_next
+                Y, AY = V + beta * (V - U), AV + beta * (AV - AU)
+                U, AU, t = V, AV, t_next
             residual = l2_norm(self.forward(x0, best_u))
         if not math.isfinite(residual):
-            raise NonFiniteStateError(f"the descent residual at horizon {self.k} overflowed")
-        return residual, best_u, step, best_i
-
-
-def _lipschitz_estimate(model, rng):
-    """Top eigenvalue of (control map)^T (control map) by 40 power steps."""
-    v = rng.standard_normal(model.shape)
-    v /= np.linalg.norm(v)
-    for _ in range(40):
-        w = model.gradient(model.apply(v))
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 1.0
-        v = w / lam
-    return lam
+            raise overflow
+        return _Descent(residual, best_u, 1.0 / L if steps else None, best_i, bound, steps)
 
 
 def local_gcac_synthesize(system, sched, x0, eps, k_max):
-    """Approximate steering with possibly local supports, by projected descent.
+    """Approximate steering with possibly local supports, by FISTA descent.
 
     Minimizes the final-state norm over unit-ball impulse sequences by one
-    500-step `_HorizonModel.descend` per doubling horizon, warm-started from
-    the best iterate so far, which only a strictly smaller residual
-    replaces. Succeeds with certificate 'epsilon-ball' once the residual
-    drops to eps; otherwise returns the best attempt with certificate
-    'failed-horizon-exhausted'. Per horizon, `details` holds the step
-    size, the best residual so far and the step at which that horizon's
-    descent found its returned iterate.
+    `_HorizonModel.descend` of at most 500 steps per doubling horizon,
+    warm-started from the best iterate so far, which only a strictly
+    smaller residual replaces. Each descent stops once its horizon is
+    reached or its dual bound proves the horizon infeasible. Succeeds with
+    certificate 'epsilon-ball' once the residual drops to eps; otherwise
+    returns the best attempt with certificate 'failed-horizon-exhausted'.
+
+    Per horizon, `details` holds the verdict ('reached', 'infeasible' or
+    'undecided'), the best dual bound, the steps run, the final step size
+    1/L, the best residual so far and the step that produced that
+    horizon's returned iterate. `details["bracket"]` is (lower, upper):
+    upper is the first reached horizon (None when none is), and every
+    horizon up to lower is infeasible, since lower's bound exceeds eps by
+    the growth factor ``exp(tol t_lower)`` that the dissipativity check
+    below lets a coasting state gain (0 when no horizon qualifies; x0
+    itself lies outside the ball).
     """
     check_cycle(system, sched)
     if eps <= 0.0:
@@ -781,7 +853,8 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lam1 = system.first_eigenvalue
-    if symmetric_part_max_eig(system.coupling) > lam1 + _spectral_tol(lam1):
+    tol = _spectral_tol(lam1)
+    if symmetric_part_max_eig(system.coupling) > lam1 + tol:
         raise ValueError(
             "the symmetric part of the coupling matrix must stay at or below "
             "the first diffusion eigenvalue for descent-based steering"
@@ -801,7 +874,6 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         )
 
     iterations = 500
-    rng = np.random.default_rng(0)
     horizons = []
     k = min(2 * system.hbar, k_max)
     while True:
@@ -813,18 +885,22 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     best_u = np.zeros((0, system.m, system.domain.modes))
     best_res = math.inf
     best_k = horizons[0]
-    steps = {}
-    winners = {}
+    runs = {}
+    verdicts = {}
     history = {}
+    lower = 0
     props = Propagators(system, sched)
     for k in horizons:
         model = _HorizonModel(props, k)
         u = np.zeros(model.shape)
         u[: len(best_u)] = best_u
-        res, impulses, steps[k], winners[k] = model.descend(x0, u, iterations, rng)
-        if res < best_res:
-            best_res, best_u, best_k = res, impulses, k
+        run = runs[k] = model.descend(x0, u, iterations, eps)
+        if run.residual < best_res:
+            best_res, best_u, best_k = run.residual, run.impulses, k
         history[k] = best_res
+        verdicts[k] = _verdict(run.residual, run.bound, eps)
+        if verdicts[k] == "infeasible" and run.bound > eps * math.exp(tol * time_at(sched, k)):
+            lower = k
         if best_res <= eps:
             break
 
@@ -839,9 +915,13 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         residual=residual,
         certificate=certificate,
         details={
-            "step_sizes": steps,
             "iterations": iterations,
             "residual_by_horizon": history,
-            "best_iteration_by_horizon": winners,
+            "best_iteration_by_horizon": {k: run.best for k, run in runs.items()},
+            "step_sizes": {k: run.step for k, run in runs.items()},
+            "verdict_by_horizon": verdicts,
+            "bound_by_horizon": {k: run.bound for k, run in runs.items()},
+            "steps_by_horizon": {k: run.steps for k, run in runs.items()},
+            "bracket": (lower, best_k if certificate == "epsilon-ball" else None),
         },
     )

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import check_cycle, time_at
-from .spectral import Propagators, _check_state, l2_norm, zero_state
-from .synthesis import NonFiniteStateError, _HorizonModel
+from .spectral import NonFiniteStateError, Propagators, _check_state, zero_state
+from .synthesis import _HorizonModel, _dual_bound
 
 __all__ = [
     "InapplicableCertificateError",
@@ -132,54 +132,20 @@ def negative_bound(system, sched, epsilon0):
     )
 
 
-def _gap_value(model, free, phi):
-    """Dual bound at one unit direction, with the observations it subtracts
-    (stacked per impulse) and their norms."""
-    obs = model.gradient(phi)
-    norms = np.linalg.norm(obs, axis=(1, 2))
-    return float(np.sum(free * phi)) - float(np.sum(norms)), obs, norms
-
-
-def _ascend(model, free, phi, iters):
-    """Local ascent of the dual bound on the unit sphere, best wins.
-
-    The gradient of a summed observation norm is the control-to-state map
-    applied to the normalized observations, i.e. `model.apply`.
-    """
-    best_phi = phi
-    best_val, obs, norms = _gap_value(model, free, phi)
-    step = 0.5
-    for _ in range(iters):
-        units = obs / np.where(norms > 0.0, norms, 1.0)[:, None, None]
-        cand = best_phi + step * (free - model.apply(units))
-        scale = float(np.linalg.norm(cand))
-        if scale == 0.0:
-            break
-        cand /= scale
-        val, cand_obs, cand_norms = _gap_value(model, free, cand)
-        if val > best_val:
-            best_val, best_phi, obs, norms = val, cand, cand_obs, cand_norms
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best_val
-
-
-def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
+def reachability_gap(system, sched, x0, k, grad_iters):
     """Certified residual floor at horizon k versus the best attempt.
 
-    Returns (lower_bound, achieved). achieved is the smallest final-state
-    norm that `grad_iters` steps of `_HorizonModel.descend` from the zero
-    control reach at exactly k impulses, as the norm of the `simulate`
-    replay of the returned impulses; lower_bound is the best dual bound
-    over candidate directions (coupling eigendirections on mode 1, the
-    free final state, and random unit states refined by ascent), clamped
-    to [0, achieved].
-    Every constrained control sequence satisfies residual >= lower_bound;
-    the upper clamp keeps that true, since achieved is attained by a
-    unit-ball control, and removes a bound above achieved by rounding
-    alone when the bound is tight.
+    Returns (lower_bound, achieved), both from one `_HorizonModel.descend`
+    of at most `grad_iters` steps from the zero control at exactly k
+    impulses, which stops once its dual bound is within a relative 1e-10
+    of its best residual. achieved is the norm of the `simulate` replay of
+    the returned impulses. lower_bound is the best dual bound of the
+    descent's residual directions, the first of which is the free final
+    state, and of the coupling eigendirections on mode 1, clamped to
+    [0, achieved]. Every constrained control sequence satisfies
+    residual >= lower_bound; the upper clamp keeps that true, since
+    achieved is attained by a unit-ball control, and removes a bound above
+    achieved by rounding alone when the bound is tight.
 
     x0 must have shape (n, N). Raises NonFiniteStateError when a
     propagated state, the achieved residual or the bound overflows.
@@ -190,38 +156,20 @@ def reachability_gap(system, sched, x0, k, grad_iters, seed=0):
     if grad_iters < 1:
         raise ValueError("grad_iters must be at least 1")
     x0 = _check_state(system, x0).copy()
-    n, N = system.n, system.domain.modes
     model = _HorizonModel(Propagators(system, sched), k)
-    rng = np.random.default_rng(seed)
+    run = model.descend(x0, np.zeros(model.shape), grad_iters)
 
-    # primal: fixed-horizon constrained descent from the zero control
-    achieved = model.descend(x0, np.zeros(model.shape), grad_iters, rng)[0]
-
-    # dual: candidate unit directions, on the maps with overflow warnings off
+    # the coupling eigendirections on mode 1, on the maps with overflow warnings off
+    values = [run.bound]
     with np.errstate(over="ignore", invalid="ignore"):
         free = model.free(x0)
-        candidates = []
         _, vecs = np.linalg.eig(system.coupling.T)
-        for i in range(n):
+        for i in range(system.n):
             for part in (np.real(vecs[:, i]), np.imag(vecs[:, i])):
-                norm = np.linalg.norm(part)
-                if norm > 1e-12:
+                if np.linalg.norm(part) > 1e-12:
                     phi = zero_state(system)
-                    phi[:, 0] = part / norm
-                    candidates.append(phi)
-        free_norm = l2_norm(free)
-        if free_norm > 0.0:
-            candidates.append(free / free_norm)
-        for _ in range(100):
-            phi = rng.standard_normal((n, N))
-            candidates.append(phi / np.linalg.norm(phi))
-
-        values = [_gap_value(model, free, phi)[0] for phi in candidates]
-        order = np.argsort(values)[::-1]
-        best = values[order[0]]
-        # ascent-refine the three most promising directions
-        for idx in order[:3]:
-            best = max(best, _ascend(model, free, candidates[idx], 30))
-    if not math.isfinite(best):
+                    phi[:, 0] = part
+                    values.append(_dual_bound(free, phi, model.gradient(phi)))
+    if not all(math.isfinite(v) for v in values):
         raise NonFiniteStateError(f"the reachability gap at horizon {k} overflowed")
-    return min(max(best, 0.0), achieved), achieved
+    return min(max(max(values), 0.0), run.residual), run.residual

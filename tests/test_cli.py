@@ -404,6 +404,29 @@ def test_local_synthesis_reports_the_winning_iteration_per_horizon(tmp_path):
     assert all(0 <= i <= result["iterations"] for i in winners.values())
 
 
+def test_local_synthesis_reports_each_horizon_and_the_bracket(tmp_path):
+    # one single-input actuator: horizon 2 is proven infeasible
+    doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)
+    doc["system"]["controllers"] = [{"gain": [[1.0], [0.0]], "support": [0.0, math.pi / 2.0]}]
+    doc["initial_state"] = {"random_norm": 8.0}
+    path = write_scenario(tmp_path, doc)
+    assert main(["synthesize-local", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    result = report["result"]
+    tried = list(result["residual_by_horizon"])
+    steps = {c["name"]: c for c in report["constants"]}["pgd_step_sizes"]
+    assert steps["method"] == "sampled-fit"
+    assert list(steps["value"]) == tried
+    assert all(step > 0.0 for step in steps["value"].values() if step is not None)
+    for key in ("verdict_by_horizon", "bound_by_horizon", "steps_by_horizon"):
+        assert list(result[key]) == tried
+    assert result["verdict_by_horizon"]["2"] == "infeasible"
+    assert result["verdict_by_horizon"][tried[-1]] == "reached"
+    assert result["bound_by_horizon"]["2"] > result["eps"]
+    lower, upper = result["bracket"]
+    assert 2 <= lower < upper == result["horizon_k"] == int(tried[-1])
+
+
 def test_observability_task_labels_constants(tmp_path):
     doc = full_support_doc()
     doc["parameters"]["delta"] = 0.5

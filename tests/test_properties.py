@@ -310,6 +310,100 @@ def test_reachability_gap_brackets_the_residual(case, k, norm):
     assert 0.0 <= lower <= achieved
 
 
+def unit_ball_controls(rng, shape):
+    """Stacked random controls, each impulse at a uniform radius in [0, 1]."""
+    U = rng.standard_normal(shape)
+    return U * (rng.uniform(0.0, 1.0, shape[0]) / np.linalg.norm(U, axis=(1, 2)))[:, None, None]
+
+
+def replayed_residual(system, sched, x0, impulses, k):
+    return l2_norm(simulate(system, sched, x0, ControlSequence(impulses=tuple(impulses)), k))
+
+
+@settings(max_examples=10)
+@given(
+    strict_systems(local=True, dissipative=True),
+    st.integers(1, 6),
+    st.floats(0.1, 4.0),
+    st.floats(0.01, 0.3),
+)
+def test_every_dual_bound_is_below_every_unit_ball_residual(case, k, norm, frac):
+    # weak duality, for the bound of a gap descent at k and for each
+    # horizon's bound in local synthesis: the returned impulses, cut or
+    # padded to the horizon, and random controls all stay above it
+    system, sched = case
+    x0 = random_state(system, np.random.default_rng(k), norm=norm)
+    model = _HorizonModel(Propagators(system, sched), k)
+    run = model.descend(x0, np.zeros(model.shape), 20)
+    res = local_gcac_synthesize(system, sched, x0, frac * norm, 8)
+    checks = [(k, run.bound, run.impulses)] + [
+        (h, bound, res.controls.impulses[:h])
+        for h, bound in res.details["bound_by_horizon"].items()
+    ]
+    rng = np.random.default_rng(k + 1)
+    for h, bound, impulses in checks:
+        shape = (h, system.m, system.domain.modes)
+        residuals = [replayed_residual(system, sched, x0, impulses, h)] + [
+            replayed_residual(system, sched, x0, unit_ball_controls(rng, shape), h)
+            for _ in range(3)
+        ]
+        assert bound <= min(residuals) * (1.0 + 1e-9) + 1e-12
+
+
+def projected_gradient_floor(system, sched, x0, k, iters=500):
+    """Smallest residual of `iters` plain projected gradient steps from the
+    zero control at horizon k, with step 1/||A||^2 on the dense control map
+    A assembled from `simulate` replays of unit impulses."""
+    shape = (k, system.m, system.domain.modes)
+    free = simulate(system, sched, x0, ControlSequence(impulses=()), k).ravel()
+    columns = []
+    for idx in range(math.prod(shape)):
+        U = np.zeros(shape)
+        U.flat[idx] = 1.0
+        columns.append(
+            simulate(system, sched, zero_state(system), ControlSequence(impulses=tuple(U)), k).ravel()
+        )
+    A = np.array(columns).T
+    step = 1.0 / np.linalg.norm(A, 2) ** 2
+    u = np.zeros(shape)
+    best = float(np.linalg.norm(free))
+    for _ in range(iters):
+        u = u - step * (A.T @ (free + A @ u.ravel())).reshape(shape)
+        u /= np.maximum(np.linalg.norm(u, axis=(1, 2)), 1.0)[:, None, None]
+        best = min(best, float(np.linalg.norm(free + A @ u.ravel())))
+    return best
+
+
+SINGLE_INPUT = (
+    make_system(
+        np.array([[0.0, 0.3], [-0.3, 0.0]]),
+        [np.array([[1.0], [0.0]])],
+        supports=[(0.0, math.pi / 2.0)],
+        modes=6,
+    ),
+    ImpulseSchedule(base_times=(1.0,)),
+)
+
+
+@settings(max_examples=10)
+@given(strict_systems(local=True, dissipative=True), st.floats(0.5, 8.0), st.floats(0.001, 0.3))
+@example(case=SINGLE_INPUT, norm=8.0, frac=1e-4)
+def test_no_projected_gradient_run_enters_a_horizon_proven_infeasible(case, norm, frac):
+    # every horizon marked infeasible, and every horizon up to the
+    # bracket's lower end, stays above eps for an independent solver; the
+    # bound behind each such verdict exceeds eps, so weak duality proves it
+    system, sched = case
+    x0 = random_state(system, np.random.default_rng(3), norm=norm)
+    eps = frac * norm
+    res = local_gcac_synthesize(system, sched, x0, eps, 8)
+    lower, _ = res.details["bracket"]
+    verdicts, bounds = res.details["verdict_by_horizon"], res.details["bound_by_horizon"]
+    infeasible = {k for k, v in verdicts.items() if v == "infeasible"}
+    assert all(bounds[k] > eps for k in infeasible)
+    for k in sorted(infeasible | set(range(1, lower + 1))):
+        assert projected_gradient_floor(system, sched, x0, k) > eps
+
+
 @given(strict_systems(), st.integers(1, 4), st.floats(0.1, 10.0))
 def test_final_time_and_pull_back_frames_give_one_mode_1_solution(case, k, norm):
     # the two systems differ by the invertible left factor exp((P - lam1 I) t_k)

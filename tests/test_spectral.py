@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from conftest import make_system, two_component_invariant_system
 
+from impulse_gcac.observability import semigroup_norm
 from impulse_gcac.spectral import (
     Controller,
     CoupledSystem,
     SpectralDomain,
+    apply_adjoint_semigroup,
     apply_impulse,
     apply_semigroup,
     l2_norm,
@@ -18,6 +20,7 @@ from impulse_gcac.spectral import (
     single_mode_state,
     zero_state,
 )
+from impulse_gcac.synthesis import NonFiniteStateError
 
 # ---------------------------------------------------------------------------
 # eigen data
@@ -166,6 +169,21 @@ def test_semigroup_rejects_negative_time():
     system = make_system(np.zeros((1, 1)), [np.ones((1, 1))], modes=4)
     with pytest.raises(ValueError):
         apply_semigroup(system, zero_state(system), -0.1)
+
+
+@pytest.mark.parametrize("flow", ["forward", "adjoint", "norm"])
+def test_one_shot_flows_overflow_into_the_typed_error(flow):
+    # exp(800 t) overflows at t = 1; the suite turns any numpy warning into
+    # an error, so the typed error must come first
+    system = make_system(np.array([[800.0, 1.0], [0.0, 700.0]]), [np.eye(2)], modes=8)
+    state = random_state(system, np.random.default_rng(5))
+    call = {
+        "forward": lambda: apply_semigroup(system, state, 1.0),
+        "adjoint": lambda: apply_adjoint_semigroup(system, state, 1.0),
+        "norm": lambda: semigroup_norm(system, 1.0),
+    }[flow]
+    with pytest.raises(NonFiniteStateError):
+        call()
 
 
 # ---------------------------------------------------------------------------

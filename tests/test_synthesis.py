@@ -724,6 +724,46 @@ def test_local_gcac_reports_exhaustion_honestly():
     assert abs(l2_norm(replay) - res.residual) <= 1e-10
 
 
+def test_local_gcac_details_agree_with_the_bracket():
+    # one single-input actuator on half the interval: horizon 2 is proven
+    # infeasible, horizon 4 stays undecided and horizon 8 is reached
+    system = make_system(
+        np.array([[0.0, 0.3], [-0.3, 0.0]]),
+        [np.array([[1.0], [0.0]])],
+        supports=[(0.0, math.pi / 2.0)],
+        modes=8,
+    )
+    sched = unit_schedule()
+    x0 = random_state(system, np.random.default_rng(89), norm=8.0)
+    eps = 1e-3
+    res = local_gcac_synthesize(system, sched, x0, eps, 64)
+    details = res.details
+    tried = list(details["residual_by_horizon"])
+    for key in (
+        "best_iteration_by_horizon",
+        "step_sizes",
+        "verdict_by_horizon",
+        "bound_by_horizon",
+        "steps_by_horizon",
+    ):
+        assert list(details[key]) == tried
+    verdicts = details["verdict_by_horizon"]
+    assert verdicts == {2: "infeasible", 4: "undecided", 8: "reached"}
+    assert res.certificate == "epsilon-ball" and res.horizon_k == 8
+    for k in tried:
+        steps = details["steps_by_horizon"][k]
+        assert 0 <= details["best_iteration_by_horizon"][k] <= steps <= details["iterations"]
+        assert (details["step_sizes"][k] is None) == (steps == 0)
+    assert details["steps_by_horizon"][4] == details["iterations"]
+    assert details["bound_by_horizon"][2] > eps * math.exp(1e-9 * time_at(sched, 2))
+    assert details["bracket"] == (2, 8)
+
+    # no horizon reached: the bracket has no upper end
+    short = local_gcac_synthesize(system, sched, x0, eps, 2)
+    assert short.certificate == "failed-horizon-exhausted"
+    assert short.details["bracket"] == (2, None)
+
+
 def test_local_gcac_matches_exact_synthesis_on_full_supports():
     system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
     sched = unit_schedule()
@@ -747,14 +787,35 @@ def test_descent_returns_a_replayed_residual_inside_the_unit_ball():
     sched = ImpulseSchedule(base_times=(0.4, 1.0))
     x0 = random_state(system, np.random.default_rng(97), norm=3.0)
     model = _HorizonModel(Propagators(system, sched), 5)
-    residual, impulses, step, best = model.descend(
-        x0, np.zeros(model.shape), 50, np.random.default_rng(0)
-    )
+    residual, impulses, step, best, *_ = model.descend(x0, np.zeros(model.shape), 50)
     controls = ControlSequence(impulses=tuple(impulses))
     assert residual == l2_norm(simulate(system, sched, x0, controls, 5))
     assert np.linalg.norm(impulses, axis=(1, 2)).max() <= 1.0 + BUDGET_SLACK
     assert 0 <= best <= 50
     assert step > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_descent_ends_in_the_typed_error_when_a_trial_step_overflows(bad):
+    # the map turns non-finite from the first trial step on; backtracking
+    # must neither loop on the failed decrease test nor return
+    system = make_system(np.diag([1.5, 0.0]), [np.eye(2)], modes=8)
+    x0 = random_state(system, np.random.default_rng(3))
+    model = _HorizonModel(Propagators(system, unit_schedule()), 4)
+    exact = model.apply
+    calls = []
+
+    def overflowing(U):
+        calls.append(None)
+        assert len(calls) < 100, "the backtracking did not stop"
+        out = exact(U)
+        # the first two calls are the start's image and the step size
+        return out if len(calls) <= 2 else np.full_like(out, bad)
+
+    model.apply = overflowing
+    with pytest.raises(NonFiniteStateError):
+        model.descend(x0, np.zeros(model.shape), 50)
+    assert len(calls) == 3
 
 
 def test_local_gcac_rejects_non_dissipative_coupling():

@@ -156,3 +156,15 @@ def test_gap_under_growth_overflows_into_the_typed_error():
     for k in (300, 400):
         with pytest.raises(NonFiniteStateError):
             reachability_gap(system, unit_schedule(), x0, k, 5)
+
+
+def test_gap_under_growth_stays_finite_until_its_squares_overflow():
+    # exp(2 t) growth: the state norm nears 1e147 at k = 170, and its square
+    # overflows from k = 180 on; the bound must not overflow sooner
+    system = make_system(np.diag([3.0, 0.0]), [np.eye(2)], modes=8)
+    x0 = random_state(system, np.random.default_rng(3))
+    for k in (60, 120, 170):
+        lower, achieved = reachability_gap(system, unit_schedule(), x0, k, 5)
+        assert 0.0 <= lower <= achieved < math.inf
+    with pytest.raises(NonFiniteStateError):
+        reachability_gap(system, unit_schedule(), x0, 180, 5)

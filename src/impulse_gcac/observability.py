@@ -12,9 +12,12 @@ Two kinds of quantities live here and are kept clearly apart:
 Every report records the horizon, the constant, and which of the two
 routes produced it.
 Rank decisions and Gramian constants are read from `linalg.column_span`;
-the rank search takes its blocks from a pull-back table, and the sampled
-constants read every controller in one product with the transposed gain
-stack of `spectral.Propagators.final_stack`, the maps synthesis descends on.
+the rank search takes its blocks from a pull-back table. The sampled
+constants build one reading matrix per call from the gain stack of
+`spectral.Propagators.final_stack`, the maps synthesis descends on: a
+probe state's adjoint flow and every controller reading, each weighted by
+a factor of its Gram matrix, are segments of one row product, so a
+pattern-search poll is a handful of operations on precomputed arrays.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from .linalg import (
     symmetric_part_max_eig,
 )
 from .schedule import check_cycle, nu, time_at
-from .spectral import NonFiniteStateError, Propagators, _PullbackTable, apply_adjoint_semigroup
+from .spectral import NonFiniteStateError, Propagators, _PullbackTable
 
 __all__ = [
     "ObservabilityReport",
@@ -202,15 +205,6 @@ def observation_norm(system, k_ctrl, state):
     return math.sqrt(max(energy, 0.0))
 
 
-def _observation_sum(system, sched, state, k, final_time):
-    """Sum over j = 1..k of the controller readings of the adjoint flow."""
-    total = 0.0
-    for j in range(1, k + 1):
-        evolved = apply_adjoint_semigroup(system, state, final_time - time_at(sched, j))
-        total += observation_norm(system, nu(sched, j), evolved)
-    return total
-
-
 def _reading_maps(system, sched, k, final, modes):
     """``(props, F0^T, d0, S, G)`` for readings of impulses 1..k at t_final.
 
@@ -223,20 +217,54 @@ def _reading_maps(system, sched, k, final, modes):
     return props, F0.T, d0[:modes], S[:, :cut], G[:cut, :modes]
 
 
-def _batch_readings(maps, Z):
-    """lhs norms and summed readings for a batch of states.
+def _reading_matrix(maps):
+    """``(W, cuts)``: every reading of a probe state as one row product.
 
-    Z has shape (batch, n, p) with p the `modes` of `_reading_maps`. Returns
-    (lhs, obs) arrays of length batch, where lhs is the adjoint-flow norm
-    at T = t_final and obs the summed controller readings at T - t_j,
-    j = 1..k, all taken in one product with the transposed gain stack.
+    For a state z of shape (n, p), flattened row-major, ``z @ W`` has k + 1
+    segments starting at `cuts`: the adjoint flow to t_final, then each
+    impulse's (m, p) reading times a factor C_r of slot r's Gram matrix cut
+    to p x p (``gram = C C^T`` from `eigh`, eigenvalues clipped at 0; the
+    identity on a full support). Each segment's norm is then the lhs norm
+    or one controller reading of `observation_norm`.
     """
     props, F0T, d0, S, G = maps
-    batch, _, p = Z.shape
-    lhs = np.linalg.norm(((F0T @ Z) * d0).reshape(batch, -1), axis=1)
-    Y = ((S.T @ Z) * G).reshape(batch, -1, props.system.m, p)
-    energy = np.sum(Y * props.project(Y), axis=(2, 3))
-    return lhs, np.sqrt(np.maximum(energy, 0.0)).sum(axis=1)
+    n, p, m = F0T.shape[0], d0.shape[0], props.system.m
+    k = S.shape[1] // m
+    factors = []
+    for _, gram in props.jumps:
+        if gram is None:
+            factors.append(np.eye(p))
+        else:
+            w, V = np.linalg.eigh(gram[:p, :p])
+            factors.append(V * np.sqrt(np.maximum(w, 0.0)))
+    C = np.repeat(np.array([factors[j % props.hbar] for j in range(k)]), m, axis=0)
+    # reading entry (a, c) -> (l, d) is S[a, l] G[l, c] C_l[c, d]
+    readings = S[:, :, None, None] * (G[:, :, None] * C)[None]
+    W = np.hstack([
+        np.kron(F0T.T, np.diag(d0)),
+        readings.transpose(0, 2, 1, 3).reshape(n * p, k * m * p),
+    ])
+    cuts = np.concatenate([[0], n * p + m * p * np.arange(k)])
+    return W, cuts
+
+
+def _segment_norms(img, cuts):
+    """(lhs, obs) of images ``z @ W``: the first segment's norm and the sum
+    of the others'. Squares `img` in place."""
+    np.square(img, out=img)
+    seg = np.sqrt(np.add.reduceat(img, cuts, axis=1))
+    return seg[:, 0], np.add.reduce(seg[:, 1:], axis=1)
+
+
+def _batch_readings(W, cuts, zs):
+    """lhs norms and summed readings for a batch of flattened states.
+
+    zs has shape (batch, n p). Returns (lhs, obs) arrays of length batch,
+    where lhs is the adjoint-flow norm at T = t_final and obs the summed
+    controller readings at T - t_j, j = 1..k, all from one product with
+    the reading matrix of `_reading_matrix`.
+    """
+    return _segment_norms(zs @ W, cuts)
 
 
 def interpolation_estimate(system, sched, k, sample_count, seed=0):
@@ -271,11 +299,12 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
             witness=witness,
         )
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((sample_count, system.n, system.domain.modes))
-    norms = np.linalg.norm(Z.reshape(sample_count, -1), axis=1)
+    zs = rng.standard_normal((sample_count, system.n, system.domain.modes))
+    zs = zs.reshape(sample_count, -1)
+    norms = np.linalg.norm(zs, axis=1)
     keep = norms > 0.0
-    Z, norms = Z[keep], norms[keep]
-    lhs, obs = _batch_readings(maps, Z)
+    zs, norms = zs[keep], norms[keep]
+    lhs, obs = _batch_readings(*_reading_matrix(maps), zs)
     b = np.log(lhs / norms)
     a = np.log(obs / norms)
     theta = 1.0 - THETA_STEP
@@ -283,18 +312,6 @@ def interpolation_estimate(system, sched, k, sample_count, seed=0):
     return ObservabilityReport(
         k=k, constant=constant, method="sampled-fit", theta=theta
     )
-
-
-def _delta_required(lhs, norms, obs, delta):
-    """Constant needed per sample: max(0, (lhs - delta ||z||) / readings)."""
-    needed = lhs - delta * norms
-    out = np.zeros_like(lhs)
-    positive = needed > 0.0
-    with np.errstate(divide="ignore"):
-        out[positive] = np.where(
-            obs[positive] > 0.0, needed[positive] / obs[positive], math.inf
-        )
-    return out
 
 
 def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
@@ -330,36 +347,46 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
                 k=k, constant=math.inf, method="sampled-fit", delta=delta
             )
 
+    W, cuts = _reading_matrix(maps)
     rng = np.random.default_rng(seed)
-    dim = system.n * pm
-
-    def evaluate(zs):
-        # zs: (batch, n*pm) unit rows -> required constant per row
-        Z = zs.reshape(zs.shape[0], system.n, pm)
-        lhs, obs = _batch_readings(maps, Z)
-        norms = np.linalg.norm(zs, axis=1)
-        return _delta_required(lhs, norms, obs, delta)
-
-    samples = rng.standard_normal((sample_count, dim))
+    samples = rng.standard_normal((sample_count, system.n * pm))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    required = evaluate(samples)
-    best_idx = int(np.argmax(required))
-    best = samples[best_idx]
-    best_val = float(required[best_idx])
 
-    # pattern search on the sphere around the best sample
-    step = 0.3
-    eye = np.eye(dim)
-    while step > 1e-8:
-        candidates = np.vstack([best + step * eye, best - step * eye])
-        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
-        vals = evaluate(candidates)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
-            best = candidates[idx]
-        else:
-            step *= 0.5
+    def required(lhs, obs, norms):
+        # constant needed per state: max(0, (lhs - delta ||z||) / readings),
+        # +inf where a state needs some but has no readings
+        needed = lhs - delta * norms
+        return np.where(needed > 0.0, needed / obs, 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = required(*_batch_readings(W, cuts, samples), np.linalg.norm(samples, axis=1))
+        best_idx = int(vals.argmax())
+        best = samples[best_idx].copy()
+        best_val = float(vals[best_idx])
+
+        # pattern search on the sphere around the best sample; the value is
+        # scale-invariant, so the candidates best +- step e_i are read
+        # unnormalized: their images are best @ W + step [W; -W] and their
+        # squared norms ||best||^2 +- 2 step best_i + step^2
+        dim = best.size
+        MW = np.vstack([W, -W])
+        img = np.empty_like(MW)
+        base, sq, signed = best @ W, best @ best, np.concatenate([best, -best])
+        step = 0.3
+        while step > 1e-8:
+            np.multiply(MW, step, out=img)
+            img += base
+            norms = np.sqrt(sq + step * step + 2.0 * step * signed)
+            vals = required(*_segment_norms(img, cuts), norms)
+            idx = int(vals.argmax())
+            if vals[idx] > best_val:
+                best_val = float(vals[idx])
+                best[idx % dim] += step if idx < dim else -step
+                best /= math.sqrt(best @ best)
+                # recomputed, not carried forward, so rounding cannot drift
+                base, sq, signed = best @ W, best @ best, np.concatenate([best, -best])
+            else:
+                step *= 0.5
     return ObservabilityReport(
         k=k, constant=best_val, method="sampled-fit", delta=delta
     )

@@ -355,7 +355,8 @@ class Propagators:
     `to_final` the maps from each impulse to a final impulse (adjoint maps
     are their transposes). `gain_stack` (with its decays, `final_stack`)
     and `project` are the one control-to-state map and its adjoint, for
-    synthesis, the witness and the observability readings alike.
+    synthesis and the witness; the observability readings weight the same
+    stack by a factor of each slot's Gram matrix instead.
     `to_final`, `gain_stack` and `final_stack` read one backward product
     per slot, which the engine keeps and extends for later horizons.
     Construction costs hbar matrix exponentials; an engine lives for one

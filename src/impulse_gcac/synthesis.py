@@ -72,6 +72,19 @@ __all__ = [
 BUDGET_SLACK = 1e-12
 
 
+def _impulse_norms(U):
+    """l2 norm of each impulse of a stacked (k, m) or (k, m, N) array.
+
+    Squares are summed over the modes first, then over the actuators, so
+    mode-1 coefficients (k, m) and the same impulses zero-padded to
+    (k, m, N) have the same norms to the last bit: the admissibility test
+    of mode-1 steering and the check of `ControlSequence` agree.
+    """
+    U = np.asarray(U, dtype=float)
+    sq = np.einsum("kij,kij->ki", U, U) if U.ndim == 3 else np.square(U)
+    return np.sqrt(np.add.reduce(sq, axis=1))
+
+
 class HorizonExhaustedError(RuntimeError):
     """No admissible control found within the allowed number of impulses.
 
@@ -116,28 +129,36 @@ class ControlSequence:
                 raise ValueError("impulse entries must be finite")
         if self.budget <= 0.0:
             raise ValueError("budget must be positive")
-        if self.constrained:
-            for j, u in enumerate(entries):
-                norm = float(np.linalg.norm(u))
-                if norm > self.budget * (1.0 + BUDGET_SLACK):
-                    raise ValueError(
-                        f"impulse {j + 1} has norm {norm:.6g}, over budget "
-                        f"{self.budget:.6g}"
-                    )
         object.__setattr__(self, "impulses", entries)
+        if self.constrained:
+            norms = self._norms()
+            over = np.flatnonzero(norms > self.budget * (1.0 + BUDGET_SLACK))
+            if over.size:
+                j = int(over[0])
+                raise ValueError(
+                    f"impulse {j + 1} has norm {norms[j]:.6g}, over budget "
+                    f"{self.budget:.6g}"
+                )
 
     def __len__(self):
         return len(self.impulses)
+
+    def _norms(self):
+        # stacked 16 impulses at a time: a stacked copy of a whole long
+        # sequence would raise the peak memory of a synthesis call
+        u = self.impulses
+        chunks = [_impulse_norms(u[i : i + 16]) for i in range(0, len(u), 16)]
+        return np.concatenate(chunks) if chunks else np.zeros(0)
 
     def max_norm(self):
         """Largest single-impulse norm; 0 for an empty sequence."""
         if not self.impulses:
             return 0.0
-        return max(float(np.linalg.norm(u)) for u in self.impulses)
+        return float(self._norms().max())
 
     def l2_total(self):
         """Aggregate l2 norm sqrt(sum_j ||u_j||^2)."""
-        return math.sqrt(sum(float(np.linalg.norm(u)) ** 2 for u in self.impulses))
+        return math.sqrt(sum(float(x) ** 2 for x in self._norms()))
 
 
 @dataclass(frozen=True)
@@ -399,8 +420,8 @@ def _steer_mode1(props, sched, v, k_max):
             flat = min_norm_solve(S, -(F0 @ v), require_exact=True)
         except UnreachableTargetError:
             return None
-        xi = [flat[j * m : (j + 1) * m] for j in range(k)]
-        return xi, max(float(np.linalg.norm(x)) for x in xi)
+        xi = flat.reshape(k, m)
+        return xi, float(_impulse_norms(xi).max())
 
     best_sup = math.inf
     accepted = None

@@ -6,8 +6,14 @@ import mpmath
 import numpy as np
 from hypothesis import settings
 
-from impulse_gcac.schedule import ImpulseSchedule
-from impulse_gcac.spectral import Controller, CoupledSystem, SpectralDomain
+from impulse_gcac.observability import observation_norm
+from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
+from impulse_gcac.spectral import (
+    Controller,
+    CoupledSystem,
+    SpectralDomain,
+    apply_adjoint_semigroup,
+)
 
 
 def make_system(coupling, gains, supports=None, length=math.pi, modes=32):
@@ -50,6 +56,19 @@ def oracle_exp(M, t):
     with mpmath.workdps(40):
         out = mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t))
         return np.array(out.tolist(), dtype=float)
+
+
+def _observation_sum(system, sched, state, k, final_time):
+    """Sum over j = 1..k of the controller readings of the adjoint flow.
+
+    The per-impulse oracle of the stacked readings: one one-shot adjoint
+    flow and one `observation_norm` per impulse.
+    """
+    total = 0.0
+    for j in range(1, k + 1):
+        evolved = apply_adjoint_semigroup(system, state, final_time - time_at(sched, j))
+        total += observation_norm(system, nu(sched, j), evolved)
+    return total
 
 
 def unit_schedule():

@@ -14,7 +14,6 @@ import pytest
 from impulse_gcac.cli import bundled_scenario, load_scenario
 from impulse_gcac.linalg import mat_exp, symmetric_part_max_eig
 from impulse_gcac.observability import (
-    _observation_sum,
     compose_obs,
     delta_obs_constant,
     finite_obs_constant,
@@ -40,7 +39,7 @@ from impulse_gcac.synthesis import (
 )
 from impulse_gcac.witness import negative_bound, reachability_gap
 
-from conftest import make_system, unit_schedule
+from conftest import _observation_sum, make_system, unit_schedule
 
 
 def test_criterion_01_invariant_component_gap_reproduction():

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import make_system, two_component_invariant_system, unit_schedule
+from conftest import (
+    _observation_sum,
+    make_system,
+    two_component_invariant_system,
+    unit_schedule,
+)
 
 from impulse_gcac import observability
 from impulse_gcac.observability import (
     RankDeficiencyError,
-    _observation_sum,
     compose_obs,
     delta_obs_constant,
     finite_obs_constant,

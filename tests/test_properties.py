@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
 from impulse_gcac.observability import (
     RankDeficiencyError,
+    PROBE_MODES,
     _batch_readings,
-    _observation_sum,
     _rank_search,
     _reading_maps,
+    _reading_matrix,
+    delta_obs_constant,
     finite_obs_constant,
     rank_condition,
 )
@@ -47,7 +49,7 @@ from impulse_gcac.synthesis import (
 )
 from impulse_gcac.witness import reachability_gap
 
-from conftest import make_system, oracle_exp
+from conftest import _observation_sum, make_system, oracle_exp
 
 LAM1 = 1.0  # first diffusion eigenvalue on (0, pi)
 
@@ -245,7 +247,7 @@ def test_stacked_readings_match_the_per_impulse_oracle(case, k, ahead, p):
     maps = _reading_maps(system, sched, k, final, p)
     rng = np.random.default_rng(k + p)
     Z = rng.standard_normal((3, system.n, p))
-    lhs, obs = _batch_readings(maps, Z)
+    lhs, obs = _batch_readings(*_reading_matrix(maps), Z.reshape(3, -1))
     T = time_at(sched, final)
     for z, got_lhs, got_obs in zip(Z, lhs, obs):
         padded = zero_state(system)
@@ -254,6 +256,100 @@ def test_stacked_readings_match_the_per_impulse_oracle(case, k, ahead, p):
         want_obs = _observation_sum(system, sched, padded, k, T)
         assert got_lhs == pytest.approx(want_lhs, rel=1e-12)
         assert got_obs == pytest.approx(want_obs, rel=1e-12)
+
+
+def _per_poll_delta_obs(system, sched, k, delta, sample_count, seed=0):
+    """`delta_obs_constant` with every poll read through the engine.
+
+    The reference algorithm: each batch of states, samples or 2 n p
+    normalized candidates of a vstack pattern search, is flowed and read
+    through `final_stack` and the slot-wise Gram products of `project`.
+    """
+    n, m, pm = system.n, system.m, min(PROBE_MODES, system.domain.modes)
+    props = Propagators(system, sched)
+    F0, d0, S, G = props.final_stack(k)
+    F0T, d0, S, G = F0.T, d0[:pm], S[:, : k * m], G[: k * m, :pm]
+    kernel = column_span(S).null
+    if kernel.size and np.linalg.norm(F0T @ kernel, 2) > delta * (1.0 + 1e-12):
+        return math.inf
+
+    def evaluate(zs):
+        Z = zs.reshape(len(zs), n, pm)
+        lhs = np.linalg.norm(((F0T @ Z) * d0).reshape(len(zs), -1), axis=1)
+        Y = ((S.T @ Z) * G).reshape(len(zs), k, m, pm)
+        energy = np.sum(Y * props.project(Y), axis=(2, 3))
+        obs = np.sqrt(np.maximum(energy, 0.0)).sum(axis=1)
+        needed = lhs - delta * np.linalg.norm(zs, axis=1)
+        out = np.zeros(len(zs))
+        positive = needed > 0.0
+        with np.errstate(divide="ignore"):
+            out[positive] = np.where(
+                obs[positive] > 0.0, needed[positive] / obs[positive], math.inf
+            )
+        return out
+
+    samples = np.random.default_rng(seed).standard_normal((sample_count, n * pm))
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    required = evaluate(samples)
+    best = samples[int(np.argmax(required))]
+    best_val = float(required.max())
+    step, eye = 0.3, np.eye(n * pm)
+    while step > 1e-8:
+        candidates = np.vstack([best + step * eye, best - step * eye])
+        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
+        vals = evaluate(candidates)
+        idx = int(np.argmax(vals))
+        if vals[idx] > best_val:
+            best_val, best = float(vals[idx]), candidates[idx]
+        else:
+            step *= 0.5
+    return best_val
+
+
+def _gram_cuts_conditioned(case):
+    # on an ill-conditioned Gram cut both evaluations round at about
+    # 1e-16 cond relative in the weak directions the search seeks; the
+    # search creeps there for seconds, and two searches that differ only
+    # in rounding end further apart than 1e-10 (3e-9 to 3e-3 at cond 8e9)
+    system, _ = case
+    return all(
+        np.linalg.cond(system.overlap(r)[:PROBE_MODES, :PROBE_MODES]) <= 1e4
+        for r in range(1, system.hbar + 1)
+    )
+
+
+@example(
+    # the first component is invisible and survives the flow: +inf
+    case=(
+        make_system(np.diag([-0.2, 0.3]), [np.array([[0.0], [1.0]])], supports=[(0.0, 1.5)], modes=6),
+        ImpulseSchedule(base_times=(0.1,)),
+    ),
+    k=3,
+    delta=0.1,
+)
+@example(
+    # delta above the flow's norm: no state needs a constant, 0
+    case=(
+        make_system(np.array([[0.2, 0.4], [-0.3, 0.1]]), [np.eye(2)], supports=[(0.3, 2.0)], modes=6),
+        ImpulseSchedule(base_times=(0.1,)),
+    ),
+    k=2,
+    delta=1.5,
+)
+@given(
+    strict_systems(local=True).filter(_gram_cuts_conditioned),
+    st.integers(1, 6),
+    st.floats(0.1, 0.6),
+)
+@settings(max_examples=8)
+def test_reading_matrix_search_matches_the_per_poll_search(case, k, delta):
+    system, sched = case
+    got = delta_obs_constant(system, sched, k, delta, sample_count=300).constant
+    want = _per_poll_delta_obs(system, sched, k, delta, sample_count=300)
+    if want in (0.0, math.inf) or got in (0.0, math.inf):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 @given(strict_systems(local=True), st.integers(1, 12))

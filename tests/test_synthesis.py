@@ -28,6 +28,8 @@ from impulse_gcac.synthesis import (
     NonFiniteStateError,
     _chunked_mode1,
     _HorizonModel,
+    _impulse_norms,
+    _mode1_controls,
     constrained_null_synthesize,
     decay_horizon,
     gcac_synthesize,
@@ -61,6 +63,23 @@ def test_control_sequence_checks_budget():
     loose = ControlSequence(impulses=(np.full((1, 4), 0.9),), constrained=False)
     assert loose.max_norm() == pytest.approx(1.8)
     assert loose.l2_total() == pytest.approx(1.8)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("modes", [7, 9, 32])
+def test_mode1_and_padded_impulse_norms_agree_to_the_last_bit(m, modes):
+    # the admissibility test of mode-1 steering reads the (k, m)
+    # coefficients, ControlSequence the zero-padded (k, m, N) impulses
+    system = make_system(np.zeros((m, m)), [np.eye(m)], modes=modes)
+    xi = np.random.default_rng(m * modes).standard_normal((200, m))
+    padded = ControlSequence(impulses=tuple(_mode1_controls(system, xi)), constrained=False)
+    norms = _impulse_norms(xi)
+    assert np.array_equal(norms, _impulse_norms(padded.impulses))
+    assert padded.max_norm() == norms.max()
+    # the first impulse over budget is the one reported
+    over = np.flatnonzero(norms > 1.0 + BUDGET_SLACK)
+    with pytest.raises(ValueError, match=f"impulse {over[0] + 1} has norm"):
+        ControlSequence(impulses=padded.impulses)
 
 
 def test_control_sequence_rejects_ragged_impulses():

@@ -12,7 +12,9 @@ Two kinds of quantities live here and are kept clearly apart:
 Every report records the horizon, the constant, and which of the two
 routes produced it.
 Rank decisions and Gramian constants are read from `linalg.column_span`;
-the rank search takes its blocks from a pull-back table. The sampled
+the rank search steps its stack to each impulse time through the
+per-slot maps of the coupling, in the final-time frame of the engine
+(`spectral._slot_steps`). The sampled
 constants build one reading matrix per call from the gain stack of
 `spectral.Propagators.final_stack`, the maps synthesis descends on: a
 probe state's adjoint flow and every controller reading, each weighted by
@@ -29,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     as_matrix,
     column_span,
     mat_exp,
@@ -37,7 +40,7 @@ from .linalg import (
     symmetric_part_max_eig,
 )
 from .schedule import check_cycle, nu, time_at
-from .spectral import NonFiniteStateError, Propagators, _PullbackTable
+from .spectral import NonFiniteStateError, Propagators, _slot_steps
 
 __all__ = [
     "ObservabilityReport",
@@ -115,43 +118,66 @@ class HypothesisVerdict:
 
 
 def rank_condition(P, gains, sched, k_max):
-    """Smallest horizon at which the shifted gain stack spans all components.
+    """Smallest horizon at which the gain stack spans all components.
 
-    Stacks ``exp(-P t_j) Q_{nu(j)}`` for j = 1..k and returns (True, k) for
-    the first k <= k_max of full row rank, else (False, None). Blocks are
-    normalized to unit spectral norm before stacking; per-block positive
-    scaling leaves every column span unchanged but keeps late, strongly
-    decayed blocks from dropping below the rank tolerance.
+    Returns (True, k) for the first k <= k_max at which the blocks
+    ``exp(P (t_k - t_j)) Q_{nu(j)}``, j = 1..k, have full row rank, else
+    (False, None). They are the pull-back blocks ``exp(-P t_j) Q_{nu(j)}``
+    times the invertible exp(P t_k), so the rank is the same. The search
+    forms no flow longer than one step, so long horizons cannot overflow
+    it; a step map that does raises NonFiniteStateError, unless the first
+    block alone has full rank.
     """
     k_star, _ = _rank_search(P, gains, sched, k_max)
     return k_star is not None, k_star
 
 
 def _rank_search(P, gains, sched, k_max):
-    """`rank_condition` as (k_star or None, null basis of the last stack).
+    """`rank_condition` as (k_star or None, null basis at time 0).
 
-    The blocks come from a `_PullbackTable` at lambda_1 = 0. The stack of
-    blocks 1..j-1 is carried as its n x min(n, p) factor `Span.factor`,
-    which has the stack's singular values and left singular vectors, so
-    candidate j is one `column_span` of at most n + m columns and the
-    search is linear in k_max. The null basis, shape (n, n - rank), is
+    Candidate j steps the factor `Span.factor` of blocks 1..j-1, which has
+    their singular values and left singular vectors, through slot nu(j)'s
+    map ``exp(P D_r)`` to t_j and appends Q_nu(j), both at unit spectral
+    norm (positive scaling leaves every span unchanged): one `column_span`
+    of at most n + m columns. The null basis, shape (n, n - rank), is
     empty at k_star; on failure it holds the directions no block up to
-    k_max can see.
+    k_max sees, mapped back to time 0 by ``N <- qr(E^T N)`` over the step
+    maps of impulses k_max..1, unless the stack's range is invariant under
+    every step map, which leaves N where it is.
     """
     P = as_matrix(P)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     n = P.shape[0]
-    pull = _PullbackTable(P, 0.0, sched)
+    steps = [E for _, E in _slot_steps(P, sched)]
+    units = [_unit_norm(as_matrix(Q, rows=n)) for Q in gains[: sched.hbar]]
     factor = np.zeros((n, 0))
     for j in range(1, k_max + 1):
-        block = pull(j) @ as_matrix(gains[nu(sched, j) - 1], rows=n)
-        scale = np.linalg.norm(block, 2)
-        span = column_span(np.hstack([factor, block / scale if scale > 0.0 else block]))
+        if j > 1:
+            factor = _unit_norm(steps[(j - 1) % sched.hbar] @ span.factor)
+        span = column_span(np.hstack([factor, units[nu(sched, j) - 1]]))
         if span.rank == n:
             return j, span.null
-        factor = span.factor
-    return None, span.null
+        if j == 1 and not all(np.all(np.isfinite(E)) for E in steps):
+            raise NonFiniteStateError("the flow between two impulses overflowed")
+    # mapping an invariant null back would only amplify its rounding
+    seen = span.factor[:, : span.rank]
+    seen = seen / np.linalg.norm(seen, axis=0)
+    if all(
+        np.linalg.norm(span.null.T @ (E @ seen)) <= RANK_TOL * np.linalg.norm(E @ seen)
+        for E in steps
+    ):
+        return None, span.null
+    null = span.null
+    for j in range(k_max, 0, -1):
+        null = np.linalg.qr(steps[(j - 1) % sched.hbar].T @ null)[0]
+    return None, null
+
+
+def _unit_norm(A):
+    """A divided by its spectral norm; the zero matrix unchanged."""
+    scale = np.linalg.norm(A, 2)
+    return A / scale if scale > 0.0 else A
 
 
 def kalman_rank(P, gains):

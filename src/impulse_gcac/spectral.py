@@ -23,8 +23,10 @@ consecutive impulses takes only hbar distinct forms. `Propagators` builds
 them once per schedule: the loop of `simulate` and the maps from each
 impulse to the final time are products of these per-slot step maps, and
 so is the final-time gain stack that maps controls to states and, read
-transposed, states to controller readings. `apply_semigroup` remains the
-one-shot flow over an arbitrary time.
+transposed, states to controller readings. The rank search steps its
+stack through the same per-slot maps of the unshifted coupling, so every
+part of the package works in this one final-time frame; `apply_semigroup`
+remains the one-shot flow over an arbitrary time.
 """
 
 import math
@@ -316,32 +318,14 @@ def apply_impulse(system, state, k, u):
     return st + system.gain(k) @ (u @ gram)
 
 
-class _PullbackTable:
-    """Pull-back maps ``exp((lam1 I - P) t_j)`` at the impulse times of a schedule.
-
-    With t_j = b_r + c t_hbar (slot r, c whole periods before it) the map
-    is ``exp((lam1 I - P) b_r) Psi^c``, Psi being the map over one period,
-    which is the slot map of r = hbar. So a table costs hbar matrix
-    exponentials; the powers of Psi are extended on demand, one product
-    each. A power that overflows turns into inf or nan entries, which the
-    finiteness checks downstream reject. Used by the rank search
-    (`observability._rank_search`), `synthesis.gramian_delta` and the
-    Gramian-ball chunks of `synthesis._chunked_mode1`; steering itself
-    works in the final-time frame of `Propagators.to_final`.
-    """
-
-    def __init__(self, P, lam1, sched):
-        P = as_matrix(P)
-        generator = lam1 * np.eye(P.shape[0]) - P
-        self._slots = [mat_exp(generator, b) for b in sched.base_times]
-        self._powers = [np.eye(P.shape[0])]
-
-    def __call__(self, j):
-        """exp((lam1 I - P) t_j) for the impulse index j >= 1."""
-        cycles, slot = divmod(j - 1, len(self._slots))
-        while len(self._powers) <= cycles:
-            self._powers.append(self._powers[-1] @ self._slots[-1])
-        return self._slots[slot] @ self._powers[cycles]
+def _slot_steps(generator, sched):
+    """``(D_r, exp(generator D_r))`` per slot r, ``D_r = b_r - b_{r-1}``, b_0 = 0:
+    the step maps of `Propagators` and of `observability._rank_search`."""
+    steps, prev = [], 0.0
+    for b in sched.base_times:
+        steps.append((b - prev, mat_exp(generator, b - prev)))
+        prev = b
+    return steps
 
 
 class Propagators:
@@ -369,15 +353,13 @@ class Propagators:
         shifted = system.coupling - lam1 * np.eye(system.n)
         self.system = system
         self.hbar = sched.hbar
-        self.steps = []
-        self.jumps = []
-        prev = 0.0
-        for r, b in enumerate(sched.base_times, start=1):
-            dt = b - prev
-            self.steps.append((mat_exp(shifted, dt), np.exp(-(lam - lam1) * dt)))
-            gram = None if system._full[r - 1] else system.overlap(r)
-            self.jumps.append((system.gain(r), gram))
-            prev = b
+        self.steps = [
+            (E, np.exp(-(lam - lam1) * dt)) for dt, E in _slot_steps(shifted, sched)
+        ]
+        self.jumps = [
+            (system.gain(r), None if system._full[r - 1] else system.overlap(r))
+            for r in range(1, sched.hbar + 1)
+        ]
         self._tails = {}
 
     def advance(self, state, j, u=None):

@@ -19,7 +19,9 @@ hbar matrix exponentials per schedule, not one per impulse. Each
 full-support synthesizer is a public shell that checks its inputs and
 builds the engine, around a private core that runs on it, so
 `constrained_null_synthesize` runs its phases on one engine and one rank
-search.
+search. Every map is posed in the engine's final-time frame, the
+Gramian-ball fallback of mode-1 steering included; only the public
+`gramian_delta` keeps the pull-back form of the paper.
 """
 
 import math
@@ -30,7 +32,9 @@ import numpy as np
 
 from .linalg import (
     UnreachableTargetError,
+    as_matrix,
     column_span,
+    mat_exp,
     min_norm_solve,
     spectrum,
     symmetric_part_max_eig,
@@ -45,7 +49,6 @@ from .schedule import check_cycle, nu, time_at
 from .spectral import (
     NonFiniteStateError,
     Propagators,
-    _PullbackTable,
     _check_state,
     apply_semigroup,
     l2_norm,
@@ -236,12 +239,6 @@ def project_H1(system, state):
     return v, remainder
 
 
-def _shifted_blocks(P, gains, sched, k, lam1):
-    """Blocks exp((lam1 I - P) t_j) Q_nu(j) for j = 1..k, from a pull-back table."""
-    pull = _PullbackTable(P, lam1, sched)
-    return [pull(j) @ gains[nu(sched, j) - 1] for j in range(1, k + 1)]
-
-
 def gramian_delta(P, gains, sched, k_star, lam1=1.0):
     """Steering Gramian over k_star impulses and its guaranteed ball radius.
 
@@ -253,17 +250,17 @@ def gramian_delta(P, gains, sched, k_star, lam1=1.0):
     M^{-1} eta``, each of norm at most 1.
 
     lam1 is the first diffusion eigenvalue of the domain; the default
-    matches an interval of length pi.
+    matches an interval of length pi. Each block is one direct matrix
+    exponential; mode-1 steering takes its ball from the final-time stack
+    instead (`_chunked_mode1`).
     """
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
-    P = np.asarray(P, dtype=float)
-    return _gramian_ball(_shifted_blocks(P, gains, sched, k_star, lam1), k_star)
-
-
-def _gramian_ball(blocks, k_star):
-    """`gramian_delta` of already assembled blocks."""
-    S = np.hstack(blocks)
+    P = as_matrix(P)
+    pull = lam1 * np.eye(P.shape[0]) - P
+    S = np.hstack([
+        mat_exp(pull, time_at(sched, j)) @ gains[nu(sched, j) - 1] for j in range(1, k_star + 1)
+    ])
     span = column_span(S)
     if span.rank < S.shape[0]:
         raise ValueError(
@@ -310,52 +307,37 @@ def _mode1_controls(system, xi_list):
 def _chunked_mode1(props, sched, v, k_max):
     """Greedy Gramian-ball steering of a mode-1 target, one span at a time.
 
-    Each span of impulses reaches any target inside its delta-ball with
-    unit-ball controls; the target is consumed in delta-sized pieces until
-    nothing remains. Spans are full periods so later spans are time shifts
-    of the first, which keeps every solve in well-scaled variables. The
-    blocks come from a pull-back table after a rank search of its own; the
-    flow over one span is the engine's map from t_0 to t_span.
+    The span is the first whole number of periods whose final-time stack
+    ``(F0, S) = props.gain_stack(span)`` has full rank; its controls
+    ``-S^T M^{-1} eta``, M = S S^T, reach any eta in the ball of radius
+    ``delta = sigma_n^2 / sigma_max`` inside the unit ball. Every span
+    flows its start coefficient x by the same F0 and steers with the same
+    S: it cancels ``min(1, delta / ||y||) y`` of y = F0 x and hands the
+    rest on, until nothing remains.
     """
     system = props.system
-    P = system.coupling
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    ok_k, _ = _rank_search(P, gains, sched, k_max)
-    if ok_k is None:
+    for span in range(system.hbar, k_max + 1, system.hbar):
+        F0, S = props.gain_stack(span)
+        ball = column_span(S)
+        if ball.rank == system.n:
+            break
+    else:
         raise HorizonExhaustedError(
             f"gain stack never reaches full rank within {k_max} impulses"
         )
-    span = system.hbar * math.ceil(ok_k / system.hbar)
-    blocks = _shifted_blocks(P, gains, sched, span, system.first_eigenvalue)
-    M, delta = _gramian_ball(blocks, span)
     # small margin keeps the closed-form controls strictly inside the ball
-    delta *= 1.0 - 1e-12
-    # flow over one span: the inverse of the pull-back by span impulses
-    span_flow = props.to_final(span)[0][0]
-
-    remaining = -np.asarray(v, dtype=float)
+    delta = ball.sigma_n**2 / ball.sigma_max * (1.0 - 1e-12)
+    M = S @ S.T
     xi_list = []
-    back = np.eye(P.shape[0])
-    b = 0
-    while float(np.linalg.norm(remaining)) > 0.0:
-        if (b + 1) * span > k_max:
+    y = F0 @ v
+    while (size := float(np.linalg.norm(y))) > 0.0:
+        if len(xi_list) + span > k_max:
             raise HorizonExhaustedError(
                 f"target needs more than {k_max} impulses of Gramian-ball steering"
             )
-        # pull the remaining target back to the first span's variables
-        if b:
-            back = span_flow @ back
-        pulled = back @ remaining
-        scale = float(np.linalg.norm(pulled))
-        if scale <= delta:
-            eta = pulled
-            remaining = np.zeros_like(remaining)
-        else:
-            eta = (delta / scale) * pulled
-            remaining = remaining * (1.0 - delta / scale)
-        factor = np.linalg.solve(M, eta)
-        xi_list.extend(block.T @ factor for block in blocks)
-        b += 1
+        share = min(1.0, delta / size)
+        xi_list.extend((-share * (S.T @ np.linalg.solve(M, y))).reshape(span, system.m))
+        y = F0 @ ((1.0 - share) * y)
     return xi_list
 
 
@@ -366,8 +348,9 @@ def steer_first_mode(system, sched, v_target, k_max):
     steering keeps every impulse inside the unit ball, up to the relative
     `BUDGET_SLACK` that `ControlSequence` accepts: horizons double until
     one is admissible, then the bracket is searched for the first
-    admissible count. If doubling exhausts k_max, targets are consumed in
-    Gramian-ball chunks span by span instead.
+    admissible count. If doubling exhausts k_max, the target is consumed
+    in Gramian-ball chunks of whole periods instead (`_chunked_mode1`),
+    read from the same final-time stacks.
 
     The equations are posed at the final time t_k, in the engine's frame:
     ``sum_j F_j Q_nu(j) xi_j = -F_0 v_target`` with F_j the lambda_1-shifted

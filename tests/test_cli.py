@@ -370,6 +370,23 @@ def test_running_the_cli_module_prints_no_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_check_on_a_stiff_coupling_finds_k_star_without_warnings(tmp_path):
+    doc = full_support_doc(coupling=[[-40.0, 0.0], [0.0, 0.5]], k_max=64)
+    doc["system"]["controllers"][0]["gain"] = [[1.0], [1.0]]
+    path = write_scenario(tmp_path, doc)
+    src = str(Path(impulse_gcac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "impulse_gcac.cli", "check", "--scenario", str(path),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert result["rank_ok"] and result["k_star"] == 2
+
+
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test-only dependency: every CLI run would pay for its import
     src = str(Path(impulse_gcac.__file__).resolve().parents[1])

@@ -1,6 +1,7 @@
 """Tests for rank conditions and observability constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from impulse_gcac.observability import (
     semigroup_norm,
 )
 from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
-from impulse_gcac.spectral import apply_adjoint_semigroup, l2_norm
+from impulse_gcac.spectral import NonFiniteStateError, apply_adjoint_semigroup, l2_norm
 
 # ---------------------------------------------------------------------------
 # rank_condition / kalman_rank
@@ -49,6 +50,24 @@ def test_rank_condition_two_actuators_need_both():
     sched = ImpulseSchedule((0.5, 1.0))
     ok, k_star = rank_condition(np.zeros((2, 2)), gains, sched, 5)
     assert ok and k_star == 2
+
+
+def test_rank_condition_on_a_stiff_coupling_reaches_full_rank():
+    # pull-back maps exp(40 t_j) overflow within 64 impulses, and in their
+    # frame the second component falls below the rank tolerance at once;
+    # the final-time stack is full at k = 2
+    gains = [np.array([[1.0], [1.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_condition(np.diag([-40.0, 0.5]), gains, unit_schedule(), 64) == (True, 2)
+
+
+def test_rank_condition_reports_an_overflowing_step_map_as_non_finite():
+    # the first block needs no flow; the second needs exp(1000)
+    P = np.diag([1000.0, 0.0])
+    assert rank_condition(P, [np.eye(2)], unit_schedule(), 4) == (True, 1)
+    with pytest.raises(NonFiniteStateError, match="overflowed"):
+        rank_condition(P, [np.array([[1.0], [1.0]])], unit_schedule(), 4)
 
 
 def test_rank_search_spans_at_most_n_plus_m_columns(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from impulse_gcac import synthesis
-from impulse_gcac.linalg import min_norm_solve
+from impulse_gcac.linalg import mat_exp, min_norm_solve
 from impulse_gcac.observability import (
     RankDeficiencyError,
     finite_obs_constant,
@@ -217,14 +217,12 @@ def test_gramian_ball_targets_are_reached_with_unit_controls():
     # stays in the unit ball and the blocks reassemble the target exactly
     rng = np.random.default_rng(31)
     sched = unit_schedule()
-    from impulse_gcac.synthesis import _shifted_blocks
-
     for trial in range(8):
         n = int(rng.integers(2, 4))
         P = 0.3 * rng.standard_normal((n, n))
         Q = rng.standard_normal((n, n))
         M, delta = gramian_delta(P, [Q], sched, 2, lam1=1.0)
-        blocks = _shifted_blocks(np.asarray(P), [np.asarray(Q)], sched, 2, 1.0)
+        blocks = [mat_exp(np.eye(n) - P, time_at(sched, j)) @ Q for j in (1, 2)]
         eta = rng.standard_normal(n)
         eta *= delta / np.linalg.norm(eta)
         factor = np.linalg.solve(M, eta)
@@ -351,6 +349,23 @@ def test_chunked_steering_consumes_the_target_in_ball_pieces():
     x0[:, 0] = v
     final = simulate(system, sched, x0, ControlSequence(impulses=tuple(impulses)), len(xi))
     assert np.linalg.norm(final[:, 0]) <= 1e-9 * np.linalg.norm(v)
+
+
+def test_chunked_steering_reaches_a_target_doubling_cannot():
+    # no minimum-norm solve within 8 impulses stays in the unit ball; eight
+    # one-impulse Gramian-ball chunks do
+    system = make_system(np.diag([0.9, 0.2]), [np.eye(2)], modes=8)
+    sched = unit_schedule()
+    v = np.array([3.0, -2.5])
+    v *= 16.0 / np.linalg.norm(v)
+    res = steer_first_mode(system, sched, v, 8)
+    assert res.certificate == "exact" and res.horizon_k == 8
+    assert len(res.controls) == 8
+    assert res.controls.max_norm() <= 1.0 + BUDGET_SLACK
+    assert np.linalg.norm(res.final_state[:, 0]) <= 1e-9 * np.linalg.norm(v)
+    x0 = zero_state(system)
+    x0[:, 0] = v
+    assert np.array_equal(simulate(system, sched, x0, res.controls, 8), res.final_state)
 
 
 # --- decay horizon ---
@@ -483,6 +498,18 @@ def test_null_steer_rank_failure_names_a_witness():
         null_steer(system, unit_schedule(), x0, 4)
     w = err.value.witness
     assert abs(abs(w[0]) - 1.0) <= 1e-9 and abs(w[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_null_steer_witness_of_a_fast_decaying_invisible_component(k):
+    # the visible component grows against the invisible one by exp(40.5)
+    # per impulse under the transposed step maps; the witness stays e2
+    system = make_system(np.diag([0.5, -40.0]), [np.array([[1.0], [0.0]])], modes=6)
+    x0 = random_state(system, np.random.default_rng(k))
+    with pytest.raises(RankDeficiencyError) as err:
+        null_steer(system, unit_schedule(), x0, k)
+    w = err.value.witness
+    assert abs(abs(w[1]) - 1.0) <= 1e-12 and abs(w[0]) <= 1e-12
 
 
 def test_null_steer_needs_enough_impulses_to_span():

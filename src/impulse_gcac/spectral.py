@@ -388,9 +388,10 @@ class Propagators:
         """
         r = k % self.hbar
         n = self.system.n
-        maps, decays, S = self._tails.get(
-            r, ([np.eye(n)], [np.ones(self.system.domain.modes)], np.zeros((n, 0)))
-        )
+        tail = self._tails.get(r)
+        if tail is None:
+            tail = ([np.eye(n)], [np.ones(self.system.domain.modes)], np.zeros((n, 0)))
+        maps, decays, S = tail
         if len(maps) <= k:
             # the impulse k - i, where maps[i] starts, uses slot (k - i - 1) mod hbar
             blocks = []

@@ -574,7 +574,10 @@ def _null_steer(props, x0, k_star):
     A, b = _null_equations(props, x0, k_star)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("null steering equations must be finite")
-    xi = np.matmul(np.linalg.pinv(A, rcond=1e-14), b[:, :, None])[:, :, 0]
+    # b_i = 0 (a mode whose decay underflowed) has the minimum-norm solution 0
+    live = np.any(b != 0.0, axis=1)
+    xi = np.zeros((A.shape[0], A.shape[2]))
+    xi[live] = np.matmul(np.linalg.pinv(A[live], rcond=1e-14), b[live, :, None])[:, :, 0]
     # the equation residual of mode i is its final coefficient itself
     error = float(np.linalg.norm(np.matmul(A, xi[:, :, None])[:, :, 0] - b))
     scale = l2_norm(x0)

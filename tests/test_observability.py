@@ -282,6 +282,29 @@ def test_delta_monotone_in_relaxation():
         previous = report.constant
 
 
+def test_delta_sample_tables_are_shared_and_read_only():
+    two = make_system(np.array([[0.2, 0.1], [0.0, 0.3]]), [np.eye(2)], modes=8)
+    three = make_system(
+        np.array([[0.1, 0.2, 0.0], [-0.3, 0.2, 0.1], [0.0, 0.4, -0.2]]), [np.eye(3)], modes=8
+    )
+    sched = unit_schedule()
+
+    def constant(system):
+        return delta_obs_constant(system, sched, k=2, delta=0.1).constant
+
+    fresh = {}
+    for system in (three, two):
+        observability._sample_table.cache_clear()
+        fresh[system.n] = constant(system)
+    for system in (two, three, two, three):
+        assert constant(system) == fresh[system.n]
+    Z, norms = observability._sample_table(0, 10000, 2 * observability.PROBE_MODES)
+    with pytest.raises(ValueError):
+        Z[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        norms[0] = 1.0
+
+
 def test_delta_rejects_nonpositive_relaxation():
     system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=4)
     with pytest.raises(ValueError):

@@ -344,6 +344,54 @@ def test_reading_matrix_search_matches_the_per_poll_search(case, k, delta):
         assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "coupling, gains, base_times, k, delta",
+    [
+        # n = 2 and 3, one and two slots, full supports, 32 modes; k = k*
+        (
+            [[-0.4, 0.6], [-0.3, 0.2]],
+            [[[1.0], [0.5]]],
+            (0.3,),
+            2,
+            0.05,
+        ),
+        (
+            [[0.1, -0.5], [0.4, -0.2]],
+            [[[1.0], [-0.3]], [[0.2], [1.0]]],
+            (0.15, 0.4),
+            2,
+            0.2,
+        ),
+        (
+            [[-0.3, 0.5, 0.0], [-0.2, 0.1, 0.4], [0.1, -0.3, -0.5]],
+            [[[1.0], [0.2], [-0.4]]],
+            (0.25,),
+            3,
+            0.05,
+        ),
+        (
+            [[0.2, 0.3, -0.1], [-0.4, -0.1, 0.2], [0.0, 0.3, -0.6]],
+            [[[0.6], [1.0], [0.1]], [[-0.2], [0.3], [1.0]]],
+            (0.1, 0.35),
+            3,
+            0.2,
+        ),
+    ],
+)
+def test_shared_sample_table_search_matches_the_per_poll_search(
+    coupling, gains, base_times, k, delta
+):
+    # the default 10,000 samples, read from the shared table
+    Q = [np.array(g) for g in gains]
+    system = make_system(np.array(coupling), Q, modes=32)
+    sched = ImpulseSchedule(base_times=base_times)
+    assert rank_condition(system.coupling, Q, sched, k) == (True, k)
+    got = delta_obs_constant(system, sched, k, delta).constant
+    want = _per_poll_delta_obs(system, sched, k, delta, sample_count=10000)
+    assert 0.0 < want < math.inf
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 @given(strict_systems(local=True), st.integers(1, 12))
 def test_gradient_matches_central_differences(case, k):
     system, sched = case

@@ -490,6 +490,21 @@ def test_null_steer_single_impulse_closed_form():
     assert not res.controls.constrained
 
 
+def test_null_steer_skips_underflowed_modes_exactly():
+    # on 256 modes most decays underflow to 0, so most right-hand sides are
+    # 0; solving only the others must give the pinv solution over all modes
+    P, Q = np.array([[0.2, 0.3], [-0.1, 0.1]]), np.array([[1.0], [0.4]])
+    system = make_system(P, [Q], modes=256)
+    sched = ImpulseSchedule(base_times=(0.3,))
+    x0 = random_state(system, np.random.default_rng(256), norm=3.0)
+    props = Propagators(system, sched)
+    A, b = synthesis._null_equations(props, x0, 2)
+    assert 0 < np.count_nonzero(np.any(b != 0.0, axis=1)) < 256
+    xi = np.matmul(np.linalg.pinv(A, rcond=1e-14), b[:, :, None])[:, :, 0]
+    res = synthesis._null_steer(props, x0, 2)
+    assert np.array_equal(np.vstack(res.controls.impulses), xi.T)
+
+
 def test_null_steer_rank_failure_names_a_witness():
     system = two_component_invariant_system(modes=8, support=(0.0, math.pi))
     x0 = zero_state(system)

@@ -135,6 +135,13 @@ def _as_int(value, path, minimum, maximum=None):
     return value
 
 
+def _as_seed(value, path):
+    seed = _as_int(value, path, minimum=0)
+    if seed >= 2**64:
+        _fail("invariant-violation", path, "must fit in 64 bits")
+    return seed
+
+
 def _check_keys(mapping, allowed, path):
     if not isinstance(mapping, dict):
         _fail("invariant-violation", path, "expected an object")
@@ -224,8 +231,7 @@ def _build_schedule(raw, system):
     if raw is None:
         _fail("invariant-violation", "schedule", "section is required (base times or \"auto\")")
     if raw == "auto":
-        gains = [c.gain for c in system.controllers]
-        return pick_schedule(system.coupling, gains)
+        return pick_schedule(system.coupling, system.gains)
     _check_keys(raw, {"base_times"}, "schedule")
     times = raw.get("base_times")
     if not (isinstance(times, list) and times):
@@ -292,10 +298,7 @@ def _build_parameters(raw):
         if key in raw:
             params[key] = _as_int(raw[key], f"parameters.{key}", minimum=minimum)
     if "seed" in raw:
-        seed = _as_int(raw["seed"], "parameters.seed", minimum=0)
-        if seed >= 2**64:
-            _fail("invariant-violation", "parameters.seed", "must fit in 64 bits")
-        params["seed"] = seed
+        params["seed"] = _as_seed(raw["seed"], "parameters.seed")
     if "out" in raw:
         if not isinstance(raw["out"], str) or not raw["out"]:
             _fail("invariant-violation", "parameters.out", "expected a nonempty string")
@@ -360,9 +363,7 @@ def load_scenario(path, task=None, seed=None, modes=None, k_max=None):
     )
     params = _build_parameters(doc.get("parameters", {}))
     if seed is not None:
-        params["seed"] = _as_int(seed, "--seed", minimum=0)
-        if params["seed"] >= 2**64:
-            _fail("invariant-violation", "--seed", "must fit in 64 bits")
+        params["seed"] = _as_seed(seed, "--seed")
     if k_max is not None:
         params["k_max"] = _as_int(k_max, "--k-max", minimum=1)
 
@@ -437,9 +438,10 @@ def _method_label(method):
 
 def _rows(scenario, x0, controls, k):
     # the norms come from simulate's own loop, so the last row reproduces
-    # a synthesized residual bit for bit
+    # a synthesized residual bit for bit; the control norms are the
+    # sequence's own, the rule of its max_norm and l2_total
     _, norms = simulate(scenario.system, scenario.sched, x0, controls, k, norms=True)
-    u_norms = [0.0] + [float(np.linalg.norm(u)) for u in controls.impulses[:k]]
+    u_norms = [0.0] + [float(v) for v in controls.norms()[:k]]
     u_norms += [0.0] * (k + 1 - len(u_norms))
     return [
         (j, time_at(scenario.sched, j), modes, total, u_norm)
@@ -474,15 +476,14 @@ def _task_check(scenario):
 
 def _task_observability(scenario):
     system, sched = scenario.system, scenario.sched
-    gains = [c.gain for c in system.controllers]
-    ok, found = rank_condition(system.coupling, gains, sched, _k_max(scenario))
+    ok, found = rank_condition(system.coupling, system.gains, sched, _k_max(scenario))
     result = {"rank_ok": bool(ok), "k_star": found}
     constants = []
     k_eval = scenario.parameters.get("k_star", found if ok else sched.hbar)
     result["k_evaluated"] = k_eval
     if ok or "k_star" in scenario.parameters:
         taus = [time_at(sched, j) for j in range(1, k_eval + 1)]
-        report = finite_obs_constant(system.coupling, gains, taus)
+        report = finite_obs_constant(system.coupling, system.gains, taus)
         finite = math.isfinite(report.constant)
         result["observability_constant_finite"] = finite
         if finite:

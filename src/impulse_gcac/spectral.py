@@ -226,12 +226,14 @@ class CoupledSystem:
             raise ValueError(f"controller index {k} outside 1..{self.hbar}")
         return self.controllers[k - 1].gain
 
+    @property
+    def gains(self):
+        """The validated gains Q_1..Q_hbar, in controller order."""
+        return tuple(c.gain for c in self.controllers)
+
     def has_full_supports(self):
         """True when every controller acts on the whole interval."""
-        return all(
-            c.support[0] == 0.0 and c.support[1] == self.domain.length
-            for c in self.controllers
-        )
+        return all(self._full)
 
 
 def _check_state(system, state):

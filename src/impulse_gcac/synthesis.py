@@ -36,12 +36,12 @@ from .linalg import (
     column_span,
     mat_exp,
     min_norm_solve,
-    spectrum,
-    symmetric_part_max_eig,
 )
 from .observability import (
     RankDeficiencyError,
+    _dissipative,
     _rank_search,
+    _spectral_class,
     _spectral_tol,
     finite_obs_constant,
 )
@@ -73,6 +73,15 @@ __all__ = [
 
 # relative slack accepted when checking unit-ball membership
 BUDGET_SLACK = 1e-12
+
+
+def _doubling(k, k_max):
+    """Horizons k, 2k, 4k, ..., capped at k_max, which ends the sequence."""
+    while True:
+        yield k
+        if k >= k_max:
+            return
+        k = min(2 * k, k_max)
 
 
 def _impulse_norms(U):
@@ -109,16 +118,14 @@ class ControlSequence:
     impulses : tuple of ndarray
         Each entry has shape (m, N): per-actuator coefficients of the
         input profile in the domain basis.
-    budget : float
-        Bound on each ``||u_j||``; the constraint set of the problem.
     constrained : bool
-        When True (the default), construction checks every impulse
-        against the budget. Unconstrained sequences carry controls whose
-        only guarantee is an aggregate l2 bound.
+        When True (the default), construction checks that every impulse
+        lies in the unit ball ``||u_j|| <= 1``, the constraint set of the
+        problem. Unconstrained sequences carry controls whose only
+        guarantee is an aggregate l2 bound.
     """
 
     impulses: tuple
-    budget: float = 1.0
     constrained: bool = True
 
     def __post_init__(self):
@@ -130,23 +137,19 @@ class ControlSequence:
                 raise ValueError("impulses must share one shape")
             if not np.all(np.isfinite(u)):
                 raise ValueError("impulse entries must be finite")
-        if self.budget <= 0.0:
-            raise ValueError("budget must be positive")
         object.__setattr__(self, "impulses", entries)
         if self.constrained:
-            norms = self._norms()
-            over = np.flatnonzero(norms > self.budget * (1.0 + BUDGET_SLACK))
+            norms = self.norms()
+            over = np.flatnonzero(norms > 1.0 + BUDGET_SLACK)
             if over.size:
                 j = int(over[0])
-                raise ValueError(
-                    f"impulse {j + 1} has norm {norms[j]:.6g}, over budget "
-                    f"{self.budget:.6g}"
-                )
+                raise ValueError(f"impulse {j + 1} has norm {norms[j]:.6g}, over budget 1")
 
     def __len__(self):
         return len(self.impulses)
 
-    def _norms(self):
+    def norms(self):
+        """Array of the impulse norms ``||u_j||``, by `_impulse_norms`."""
         # stacked 16 impulses at a time: a stacked copy of a whole long
         # sequence would raise the peak memory of a synthesis call
         u = self.impulses
@@ -155,13 +158,11 @@ class ControlSequence:
 
     def max_norm(self):
         """Largest single-impulse norm; 0 for an empty sequence."""
-        if not self.impulses:
-            return 0.0
-        return float(self._norms().max())
+        return float(self.norms().max(initial=0.0))
 
     def l2_total(self):
         """Aggregate l2 norm sqrt(sum_j ||u_j||^2)."""
-        return math.sqrt(sum(float(x) ** 2 for x in self._norms()))
+        return math.sqrt(sum(float(x) ** 2 for x in self.norms()))
 
 
 @dataclass(frozen=True)
@@ -276,17 +277,15 @@ def _require_rank(system, sched, k, message):
     Raises RankDeficiencyError with `message` and, as witness, a unit
     direction orthogonal to every searched block when there is none.
     """
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
-    k_star, null = _rank_search(system.coupling, gains, sched, k)
+    k_star, null = _rank_search(system.coupling, system.gains, sched, k)
     if k_star is None:
         raise RankDeficiencyError(message, witness=null[:, 0])
     return k_star
 
 
-def _spectral_guard(P, lam1):
+def _spectral_guard(system):
     # synthesis for unbounded growth is out of contract
-    top = spectrum(P).max_real_part
-    if top > lam1 + _spectral_tol(lam1):
+    if _spectral_class(system) == "violated":
         raise ValueError(
             "the coupling matrix has an eigenvalue with real part above the "
             "first diffusion eigenvalue; ball-targeted steering is not "
@@ -372,7 +371,7 @@ def steer_first_mode(system, sched, v_target, k_max):
     check_cycle(system, sched)
     if not system.has_full_supports():
         raise ValueError("mode-1 steering requires every support to be the full interval")
-    _spectral_guard(system.coupling, system.first_eigenvalue)
+    _spectral_guard(system)
     v = np.asarray(v_target, dtype=float).reshape(-1)
     if v.shape[0] != system.n:
         raise ValueError(f"target must have {system.n} components")
@@ -408,17 +407,13 @@ def _steer_mode1(props, sched, v, k_max):
 
     best_sup = math.inf
     accepted = None
-    k = 1
-    while True:
+    for k in _doubling(1, k_max):
         found = solution_at(k)
         if found is not None:
             best_sup = min(best_sup, found[1])
             if found[1] <= 1.0 + BUDGET_SLACK:
                 accepted = (k, found[0])
                 break
-        if k == k_max:
-            break
-        k = min(2 * k, k_max)
 
     if accepted is not None:
         hi, xi = accepted
@@ -481,7 +476,7 @@ def decay_horizon(system, sched, remainder, eps, min_index=0, k_max=None):
     scale = l2_norm(remainder)
     if np.max(np.abs(remainder[:, 0])) > 1e-12 * max(scale, 1.0):
         raise ValueError("remainder must have zero first-mode coefficient")
-    _spectral_guard(system.coupling, system.first_eigenvalue)
+    _spectral_guard(system)
     k = min_index
     while l2_norm(apply_semigroup(system, remainder, time_at(sched, k))) > eps:
         if k_max is not None and k >= k_max:
@@ -509,7 +504,7 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
         raise ValueError("eps must be positive")
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
-    _spectral_guard(system.coupling, system.first_eigenvalue)
+    _spectral_guard(system)
     x0 = _check_state(system, x0).copy()
     return _gcac(Propagators(system, sched), sched, x0, eps, k_max)
 
@@ -630,15 +625,14 @@ def constrained_null_synthesize(system, sched, x0, k_max):
     check_cycle(system, sched)
     if not system.has_full_supports():
         raise ValueError("this synthesis requires full actuator supports")
-    _spectral_guard(system.coupling, system.first_eigenvalue)
+    _spectral_guard(system)
     x0 = _check_state(system, x0).copy()
 
     k_star = _require_rank(
         system, sched, k_max, f"gain stack never spans all components within {k_max} impulses"
     )
-    gains = [system.gain(j) for j in range(1, system.hbar + 1)]
     taus = [time_at(sched, j) for j in range(1, k_star + 1)]
-    C = finite_obs_constant(system.coupling, gains, taus).constant
+    C = finite_obs_constant(system.coupling, system.gains, taus).constant
     if math.isinf(C):
         raise RuntimeError(
             f"the observability Gramian at k_star = {k_star} is numerically "
@@ -850,18 +844,16 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
     horizon's returned iterate. `details["bracket"]` is (lower, upper):
     upper is the first reached horizon (None when none is), and every
     horizon up to lower is infeasible, since lower's bound exceeds eps by
-    the growth factor ``exp(tol t_lower)`` that the dissipativity check
-    below lets a coasting state gain (0 when no horizon qualifies; x0
-    itself lies outside the ball).
+    the growth factor ``exp(tol t_lower)``, tol = `_spectral_tol`, that
+    `_dissipative` lets a coasting state gain (0 when no horizon
+    qualifies; x0 itself lies outside the ball).
     """
     check_cycle(system, sched)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    lam1 = system.first_eigenvalue
-    tol = _spectral_tol(lam1)
-    if symmetric_part_max_eig(system.coupling) > lam1 + tol:
+    if not _dissipative(system):
         raise ValueError(
             "the symmetric part of the coupling matrix must stay at or below "
             "the first diffusion eigenvalue for descent-based steering"
@@ -881,23 +873,16 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         )
 
     iterations = 500
-    horizons = []
-    k = min(2 * system.hbar, k_max)
-    while True:
-        horizons.append(k)
-        if k == k_max:
-            break
-        k = min(2 * k, k_max)
-
+    tol = _spectral_tol(system.first_eigenvalue)
     best_u = np.zeros((0, system.m, system.domain.modes))
     best_res = math.inf
-    best_k = horizons[0]
+    best_k = min(2 * system.hbar, k_max)  # the first horizon tried
     runs = {}
     verdicts = {}
     history = {}
     lower = 0
     props = Propagators(system, sched)
-    for k in horizons:
+    for k in _doubling(best_k, k_max):
         model = _HorizonModel(props, k)
         u = np.zeros(model.shape)
         u[: len(best_u)] = best_u

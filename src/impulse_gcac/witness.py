@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .observability import _spectral_class
 from .schedule import check_cycle, time_at
 from .spectral import NonFiniteStateError, Propagators, _check_state, zero_state
 from .synthesis import _HorizonModel, _dual_bound
@@ -81,33 +82,30 @@ class NegativeCertificate:
 def negative_bound(system, sched, epsilon0):
     """Scale threshold beyond which ball-targeted steering must fail.
 
-    Requires a coupling eigenvalue with real part strictly above the
-    first diffusion eigenvalue. The certified family is ell * eta * e1
-    (real case) or ell * Im(eta) * e1 (complex case): for any ell above
-    threshold_ell, no unit-ball impulse sequence on this schedule brings
-    that state into the epsilon0 ball at any horizon.
+    Raises InapplicableCertificateError unless the verdict's rule
+    `_spectral_class` finds the spectral hypothesis violated; eta is then
+    the top eigenvector of the transposed coupling. The certified family
+    is ell * eta * e1 (real case) or ell * Im(eta) * e1 (complex case): for
+    any ell above threshold_ell, no unit-ball impulse sequence on this
+    schedule brings that state into the epsilon0 ball at any horizon.
     """
     check_cycle(system, sched)
     if epsilon0 <= 0.0:
         raise ValueError("epsilon0 must be positive")
-    lam1 = system.first_eigenvalue
-    w, V = np.linalg.eig(system.coupling.T)
-    margin = 1e-12 * max(1.0, abs(lam1))
-    above = [i for i in range(len(w)) if w[i].real > lam1 + margin]
-    if not above:
+    if _spectral_class(system) != "violated":
         raise InapplicableCertificateError(
             "no coupling eigenvalue has real part above the first diffusion "
             "eigenvalue; a negative certificate does not apply"
         )
+    lam1 = system.first_eigenvalue
+    w, V = np.linalg.eig(system.coupling.T)
     # the fastest-growing eigenvalue gives the smallest threshold
-    pick = max(above, key=lambda i: (w[i].real, w[i].imag >= 0.0))
+    pick = max(range(len(w)), key=lambda i: (w[i].real, w[i].imag >= 0.0))
     rho = complex(w[pick])
     eta = V[:, pick]
     eta = eta / np.linalg.norm(eta)
 
-    q_max = max(
-        float(np.linalg.norm(system.gain(j), 2)) for j in range(1, system.hbar + 1)
-    )
+    q_max = max(float(np.linalg.norm(Q, 2)) for Q in system.gains)
     dt_min = min(
         time_at(sched, j) - time_at(sched, j - 1) for j in range(1, system.hbar + 1)
     )

@@ -267,6 +267,22 @@ def test_simulate_with_embedded_controls_matches_the_library(tmp_path):
     assert float(rows[-1].split(",")[-2]) == l2_norm(expected)
 
 
+def test_simulate_writes_the_control_sequence_norms_bitwise(tmp_path):
+    # impulses on which np.linalg.norm and the sequence's own rule differ
+    # in the last bit: the CSV carries the rule of max_norm and l2_total
+    impulses = np.random.default_rng(3).standard_normal((6, 2, 8))
+    controls = ControlSequence(impulses=tuple(impulses), constrained=False)
+    assert [float(np.linalg.norm(u)) for u in impulses] != list(controls.norms())
+    doc = full_support_doc(modes=8)
+    doc["controls"] = impulses.tolist()
+    doc["parameters"] = {"horizon": 6, "seed": 5}
+    path = write_scenario(tmp_path, doc)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    written = [float(row.split(",")[-1]) for row in rows]
+    assert written == [0.0] + [float(v) for v in controls.norms()]
+
+
 def test_witness_on_subcritical_coupling_exits_one(tmp_path):
     code = main(
         ["witness", "--scenario", str(bundled_scenario("appendix_c.json")), "--out", str(tmp_path)]

@@ -25,6 +25,7 @@ from impulse_gcac.observability import (
     _reading_matrix,
     delta_obs_constant,
     finite_obs_constant,
+    hypothesis_verdict,
     rank_condition,
 )
 from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
@@ -47,7 +48,7 @@ from impulse_gcac.synthesis import (
     null_steer,
     simulate,
 )
-from impulse_gcac.witness import reachability_gap
+from impulse_gcac.witness import InapplicableCertificateError, negative_bound, reachability_gap
 
 from conftest import _observation_sum, make_system, oracle_exp
 
@@ -749,3 +750,57 @@ def test_unobserved_directions_are_orthogonal_to_every_block(case, k, ahead):
         tau = time_at(sched, final) - time_at(sched, j)
         B = mat_exp(shifted, tau) @ gains[nu(sched, j) - 1]
         assert np.linalg.norm(null.T @ B) <= 1e-8 * np.linalg.norm(B)
+
+
+@st.composite
+def near_critical_systems(draw):
+    """(system, sched) on the edge of the spectral or the local-case hypothesis.
+
+    A 2x2 or 3x3 coupling is shifted so that its top real part, or the top
+    eigenvalue of its symmetric part, lies within +-1e-8 max(1, lam1) of
+    the first diffusion eigenvalue lam1 = (pi / L)^2, with L drawn so that
+    lam1 ranges from about 0.27 to about 9.9. The offset's magnitude is
+    log-uniform over 1e-13..1e-8 (times max(1, lam1)), so draws land on
+    both sides of the margin 1e-9 max(1, lam1) and inside it.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 3))
+    length = draw(st.floats(1.0, 6.0))
+    symmetric = draw(st.booleans())
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.0, -8.0))
+    raw = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    if symmetric:
+        top = float(np.linalg.eigvalsh(0.5 * (raw + raw.T))[-1])
+    else:
+        top = float(np.linalg.eigvals(raw).real.max())
+    lam1 = (math.pi / length) ** 2
+    P = raw - (top - lam1 - offset * max(1.0, lam1)) * np.eye(n)
+    system = make_system(P, [np.eye(n)], length=length, modes=4)
+    return system, ImpulseSchedule(base_times=(1.0,))
+
+
+def _accepts(call, refusal):
+    """False when call raises the ValueError whose message holds `refusal`."""
+    try:
+        call()
+    except ValueError as err:
+        assert refusal in str(err)
+        return False
+    return True
+
+
+@given(near_critical_systems())
+def test_each_hypothesis_is_decided_by_one_rule(case):
+    # from the zero state both synthesizers return at once when they accept
+    system, sched = case
+    verdict = hypothesis_verdict(system, sched, 4)
+    x0 = zero_state(system)
+    local = _accepts(lambda: local_gcac_synthesize(system, sched, x0, 0.1, 4), "symmetric part")
+    assert verdict.dissipative == local
+    full = _accepts(lambda: gcac_synthesize(system, sched, x0, 0.1, 4), "real part above")
+    try:
+        negative_bound(system, sched, 1.0)
+        certified = True
+    except InapplicableCertificateError:
+        certified = False
+    assert (verdict.spectral == "violated") == certified == (not full)

@@ -190,6 +190,15 @@ def test_one_shot_flows_overflow_into_the_typed_error(flow):
 # impulses
 
 
+def test_gains_are_the_validated_gains_in_order():
+    rng = np.random.default_rng(25)
+    system = make_system(np.zeros((2, 2)), [rng.normal(size=(2, 3)) for _ in range(3)], modes=4)
+    assert isinstance(system.gains, tuple)
+    assert len(system.gains) == system.hbar
+    for Q, R in zip(system.gains, [system.gain(j) for j in range(1, system.hbar + 1)]):
+        assert Q is R
+
+
 def test_impulse_full_support_is_plain_addition():
     rng = np.random.default_rng(23)
     system = make_system(np.zeros((2, 2)), [rng.normal(size=(2, 2))], modes=8)

@@ -27,6 +27,7 @@ from impulse_gcac.synthesis import (
     HorizonExhaustedError,
     NonFiniteStateError,
     _chunked_mode1,
+    _doubling,
     _HorizonModel,
     _impulse_norms,
     _mode1_controls,
@@ -51,7 +52,7 @@ def random_controls(system, k, rng, scale=1.0):
         u = rng.standard_normal((system.m, system.domain.modes))
         u *= scale * rng.uniform(0.0, 1.0) / np.linalg.norm(u)
         impulses.append(u)
-    return ControlSequence(impulses=tuple(impulses), budget=scale)
+    return ControlSequence(impulses=tuple(impulses))
 
 
 def test_control_sequence_checks_budget():
@@ -80,6 +81,14 @@ def test_mode1_and_padded_impulse_norms_agree_to_the_last_bit(m, modes):
     over = np.flatnonzero(norms > 1.0 + BUDGET_SLACK)
     with pytest.raises(ValueError, match=f"impulse {over[0] + 1} has norm"):
         ControlSequence(impulses=padded.impulses)
+
+
+@pytest.mark.parametrize(
+    "k, k_max, expected",
+    [(1, 1, [1]), (1, 6, [1, 2, 4, 6]), (2, 8, [2, 4, 8]), (4, 4, [4])],
+)
+def test_doubling_horizons_end_at_k_max(k, k_max, expected):
+    assert list(_doubling(k, k_max)) == expected
 
 
 def test_control_sequence_rejects_ragged_impulses():

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from impulse_gcac.observability import hypothesis_verdict
 from impulse_gcac.spectral import l2_norm, random_state, zero_state
-from impulse_gcac.synthesis import NonFiniteStateError
-from impulse_gcac.witness import NegativeCertificate, negative_bound, reachability_gap
+from impulse_gcac.synthesis import NonFiniteStateError, gcac_synthesize
+from impulse_gcac.witness import (
+    InapplicableCertificateError,
+    NegativeCertificate,
+    negative_bound,
+    reachability_gap,
+)
 
 from conftest import make_system, two_component_invariant_system, unit_schedule
 
@@ -32,6 +38,31 @@ def test_negative_bound_needs_supercritical_growth():
     boundary = two_component_invariant_system(modes=8)
     with pytest.raises(ValueError, match="does not apply"):
         negative_bound(boundary, unit_schedule(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "r, spectral",
+    [(-5e-10, "boundary"), (5e-13, "boundary"), (5e-10, "boundary"), (2e-9, "violated")],
+)
+def test_verdict_witness_and_synthesis_share_one_spectral_rule(r, spectral):
+    # P = diag(lam1 (1 + r), 0.3) on (0, pi), where lam1 = 1; the margin
+    # is 1e-9 max(1, lam1), so only r = 2e-9 violates the hypothesis
+    system = make_system(np.diag([1.0 + r, 0.3]), [np.eye(2)], modes=8)
+    assert system.first_eigenvalue == 1.0
+    sched = unit_schedule()
+    assert hypothesis_verdict(system, sched, 16).spectral == spectral
+    violated = spectral == "violated"
+    try:
+        cert = negative_bound(system, sched, 1.0)
+    except InapplicableCertificateError:
+        cert = None
+    assert (cert is not None) == violated
+    x0 = random_state(system, np.random.default_rng(2), norm=1.0)
+    if violated:
+        with pytest.raises(ValueError, match="real part above"):
+            gcac_synthesize(system, sched, x0, 0.1, 16)
+    else:
+        assert gcac_synthesize(system, sched, x0, 0.1, 16).residual <= 0.1
 
 
 def test_negative_bound_complex_case_divides_by_imaginary_mass():

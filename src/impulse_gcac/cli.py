@@ -73,8 +73,9 @@ _CONTROLLER_KEYS = {"gain", "support"}
 _PARAMETER_KEYS = {"eps", "k_max", "k_star", "epsilon0", "horizon", "seed", "delta", "out"}
 
 _DEFAULT_MODES = 32
-# every controller holds an N x N Gram matrix, 128 MiB at N = 4096; larger
-# orders end in a bare MemoryError, and the benchmark peaks at N = 512
+# each partially supported controller holds an N x N Gram matrix, 128 MiB
+# at N = 4096 (a full support holds none); larger orders end in a bare
+# MemoryError, and the benchmark peaks at N = 512
 _MAX_MODES = 4096
 _DEFAULT_K_MAX = 64
 
@@ -481,44 +482,29 @@ def _task_observability(scenario):
     constants = []
     k_eval = scenario.parameters.get("k_star", found if ok else sched.hbar)
     result["k_evaluated"] = k_eval
-    if ok or "k_star" in scenario.parameters:
-        taus = [time_at(sched, j) for j in range(1, k_eval + 1)]
-        report = finite_obs_constant(system.coupling, system.gains, taus)
+
+    def record(name, report, **extra):
+        # the result says whether the constant is finite; only a finite one is listed
         finite = math.isfinite(report.constant)
-        result["observability_constant_finite"] = finite
+        result[f"{name}_finite"] = finite
         if finite:
             constants.append(
-                {
-                    "name": "observability_constant",
-                    "k": k_eval,
-                    "value": report.constant,
-                    "method": _method_label(report.method),
-                }
+                {"name": name, "k": k_eval, **extra, "value": report.constant,
+                 "method": _method_label(report.method)}
             )
+
+    if ok or "k_star" in scenario.parameters:
+        taus = [time_at(sched, j) for j in range(1, k_eval + 1)]
+        record("observability_constant", finite_obs_constant(system.coupling, system.gains, taus))
     if "delta" in scenario.parameters:
         if "seed" not in scenario.parameters:
             raise ScenarioError(
                 "invariant-violation", "parameters.seed: required for the sampled delta constant"
             )
-        report = delta_obs_constant(
-            system,
-            sched,
-            k=k_eval,
-            delta=scenario.parameters["delta"],
-            seed=scenario.parameters["seed"],
-        )
-        finite = math.isfinite(report.constant)
-        result["delta_constant_finite"] = finite
-        if finite:
-            constants.append(
-                {
-                    "name": "delta_constant",
-                    "k": k_eval,
-                    "delta": scenario.parameters["delta"],
-                    "value": report.constant,
-                    "method": _method_label(report.method),
-                }
-            )
+        delta = scenario.parameters["delta"]
+        seed = scenario.parameters["seed"]
+        record("delta_constant", delta_obs_constant(system, sched, k_eval, delta, seed=seed),
+               delta=delta)
     return result, constants, None
 
 

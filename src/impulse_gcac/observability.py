@@ -13,8 +13,8 @@ Every report records the horizon, the constant, and which of the two
 routes produced it.
 Rank decisions and Gramian constants are read from `linalg.column_span`;
 the rank search steps its stack to each impulse time through the
-per-slot maps of the coupling, in the final-time frame of the engine
-(`spectral._slot_steps`). The sampled
+per-slot maps ``exp(P D_r)`` over `ImpulseSchedule.slot_lengths`, in the
+final-time frame of the engine; the Gramian constant reads `_pullback_stack`. The sampled
 constants build one reading matrix per call from the gain stack of
 `spectral.Propagators.final_stack`, the maps synthesis descends on: a
 probe state's adjoint flow and every controller reading, each weighted by
@@ -44,8 +44,8 @@ from .linalg import (
     spectrum,
     symmetric_part_max_eig,
 )
-from .schedule import check_cycle, nu, time_at
-from .spectral import NonFiniteStateError, Propagators, _slot_steps
+from .schedule import _check_gains, _krylov_stack, check_cycle, nu, time_at
+from .spectral import NonFiniteStateError, Propagators, _shifted_flow
 
 __all__ = [
     "ObservabilityReport",
@@ -134,7 +134,8 @@ def rank_condition(P, gains, sched, k_max):
     times the invertible exp(P t_k), so the rank is the same. The search
     forms no flow longer than one step, so long horizons cannot overflow
     it; a step map that does raises NonFiniteStateError, unless the first
-    block alone has full rank.
+    block alone has full rank. Raises ValueError unless there is one gain
+    per schedule slot.
     """
     k_star, _ = _rank_search(P, gains, sched, k_max)
     return k_star is not None, k_star
@@ -156,9 +157,10 @@ def _rank_search(P, gains, sched, k_max):
     P = as_matrix(P)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    _check_gains(gains, sched)
     n = P.shape[0]
-    steps = [E for _, E in _slot_steps(P, sched)]
-    units = [_unit_norm(as_matrix(Q, rows=n)) for Q in gains[: sched.hbar]]
+    steps = [mat_exp(P, D) for D in sched.slot_lengths]
+    units = [_unit_norm(as_matrix(Q, rows=n)) for Q in gains]
     factor = np.zeros((n, 0))
     for j in range(1, k_max + 1):
         if j > 1:
@@ -191,13 +193,16 @@ def _unit_norm(A):
 def kalman_rank(P, gains):
     """True iff the gains and their coupling iterates span all components."""
     P = as_matrix(P)
-    n = P.shape[0]
-    layer = [as_matrix(Q, rows=n) for Q in gains]
-    blocks = list(layer)
-    for _ in range(n - 1):
-        layer = [P @ Q for Q in layer]
-        blocks.extend(layer)
-    return numerical_rank(np.hstack(blocks)) == n
+    B = np.hstack([as_matrix(Q, rows=P.shape[0]) for Q in gains])
+    return numerical_rank(_krylov_stack(P, B)) == P.shape[0]
+
+
+def _pullback_stack(generator, gains, taus):
+    """``[exp(generator tau_j) Q_j]`` side by side, the gains used cyclically."""
+    return np.hstack([
+        mat_exp(generator, tau) @ as_matrix(Q, rows=generator.shape[0])
+        for tau, Q in zip(taus, itertools.cycle(gains))
+    ])
 
 
 def finite_obs_constant(P, gains, taus):
@@ -215,11 +220,7 @@ def finite_obs_constant(P, gains, taus):
         raise ValueError("at least one observation time is required")
     if any(t <= 0.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("observation times must be positive and strictly increasing")
-    blocks = [
-        mat_exp(-P, tau) @ as_matrix(Q, rows=P.shape[0])
-        for tau, Q in zip(taus, itertools.cycle(gains))
-    ]
-    sigma_n = column_span(np.hstack(blocks)).sigma_n
+    sigma_n = column_span(_pullback_stack(-P, gains, taus)).sigma_n
     constant = 1.0 / sigma_n**2 if sigma_n > 0.0 else math.inf
     return ObservabilityReport(k=len(taus), constant=constant, method="exact-gramian")
 
@@ -232,9 +233,9 @@ def observation_norm(system, k_ctrl, state):
     of the retained modes, exact on the truncation.
     """
     Y = system.gain(k_ctrl).T @ np.asarray(state, dtype=float)
-    if system._full[k_ctrl - 1]:
+    G = system._grams[k_ctrl - 1]
+    if G is None:
         return float(np.linalg.norm(Y))
-    G = system.overlap(k_ctrl)
     energy = float(np.einsum("ij,jk,ik->", Y, G, Y))
     return math.sqrt(max(energy, 0.0))
 
@@ -468,12 +469,17 @@ def compose_obs(D_op, delta, gamma, k, system, sched):
                         / (sum_i 1/||flow(t_{i*gamma*hbar})||),
         D_k     = D_op / (sum_i 1/||flow(t_{i*gamma*hbar})||),
 
-    both sums over i = 0..k-1, with exact operator norms.
+    both sums over i = 0..k-1, with exact operator norms. Raises
+    NonFiniteStateError when a flow norm has no finite inverse.
     """
     if gamma < 1 or k < 1:
         raise ValueError("gamma and k must be positive integers")
     block = gamma * sched.hbar
-    norms = [semigroup_norm(system, time_at(sched, i * block)) for i in range(k)]
+    times = [time_at(sched, i * block) for i in range(k)]
+    norms = [semigroup_norm(system, t) for t in times]
+    for t, v in zip(times, norms):
+        if v == 0.0 or math.isinf(1.0 / v):
+            raise NonFiniteStateError(f"the flow norm {v} at t = {t} has no finite inverse")
     direct = sum(norms)
     inverse = sum(1.0 / v for v in norms)
     return delta * direct / inverse, D_op / inverse
@@ -490,8 +496,7 @@ def semigroup_norm(system, t):
     t = float(t)
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    shifted = system.coupling - system.first_eigenvalue * np.eye(system.n)
-    E = mat_exp(shifted, t)
+    E, _ = _shifted_flow(system, t)
     if not np.all(np.isfinite(E)):
         raise NonFiniteStateError(f"the flow over t = {t} overflowed")
     return float(np.linalg.norm(E, 2))

@@ -47,6 +47,11 @@ class ImpulseSchedule:
     def period(self):
         return self.base_times[-1]
 
+    @property
+    def slot_lengths(self):
+        """Slot lengths D_r = t_r - t_{r-1}, r = 1..hbar, with t_0 = 0."""
+        return tuple(b - a for a, b in zip((0.0,) + self.base_times, self.base_times))
+
 
 def time_at(sched, j):
     """t_j of the periodic extension; t_0 = 0."""
@@ -79,15 +84,24 @@ def check_cycle(system, sched):
         )
 
 
+def _check_gains(gains, sched):
+    """Raise unless there is exactly one gain per schedule slot."""
+    if len(gains) != sched.hbar:
+        raise ValueError(f"schedule cycles {sched.hbar} impulse slots but got {len(gains)} gains")
+
+
+def _krylov_stack(P, B):
+    """``[B, PB, ..., P^(n-1) B]`` side by side, n = P.shape[0]."""
+    blocks = [B]
+    for _ in range(P.shape[0] - 1):
+        blocks.append(P @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def krylov_dim(P, q):
     """dim span{q, Pq, ..., P^(n-1) q}; 0 for q = 0."""
-    P = as_matrix(P)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    n = P.shape[0]
-    cols = [q]
-    for _ in range(n - 1):
-        cols.append(P @ cols[-1])
-    return numerical_rank(np.column_stack(cols))
+    q = np.asarray(q, dtype=float).reshape(-1, 1)
+    return numerical_rank(_krylov_stack(as_matrix(P), q))
 
 
 def d_min_imag(P):

@@ -26,7 +26,8 @@ so is the final-time gain stack that maps controls to states and, read
 transposed, states to controller readings. The rank search steps its
 stack through the same per-slot maps of the unshifted coupling, so every
 part of the package works in this one final-time frame; `apply_semigroup`
-remains the one-shot flow over an arbitrary time.
+remains the one-shot flow over an arbitrary time. Every shifted flow is
+one `_shifted_flow`, and only partial supports store a Gram matrix.
 """
 
 import math
@@ -82,12 +83,12 @@ class SpectralDomain:
         """Diffusion eigenvalue (i pi / L)^2 of mode i >= 1."""
         if i < 1:
             raise ValueError("mode indices start at 1")
-        return (i * math.pi / self.length) ** 2
+        return float(np.square(i * math.pi / self.length))
 
     def eigenvalues(self):
-        """Array of the retained eigenvalues lambda_1..lambda_N."""
+        """Array of lambda_1..lambda_N, each rounded as `eigenvalue` rounds it."""
         idx = np.arange(1, self.modes + 1, dtype=float)
-        return (idx * math.pi / self.length) ** 2
+        return np.square(idx * math.pi / self.length)
 
 
 def overlap_matrix(domain, a, b):
@@ -191,12 +192,11 @@ class CoupledSystem:
         if not lo < hi:
             raise ValueError("controller supports must share a common open interval")
         self.controllers = checked
-        # restriction Gram matrices, one per controller
-        self._overlaps = [
-            overlap_matrix(self.domain, c.support[0], c.support[1]) for c in checked
-        ]
-        self._full = [
-            c.support[0] == 0.0 and c.support[1] == self.domain.length for c in checked
+        # restriction Gram matrix per controller; None on a full support (the identity)
+        self._grams = [
+            None if c.support == (0.0, self.domain.length)
+            else overlap_matrix(self.domain, *c.support)
+            for c in checked
         ]
 
     @property
@@ -216,10 +216,11 @@ class CoupledSystem:
         return self.domain.eigenvalue(1)
 
     def overlap(self, k):
-        """Gram matrix of controller k (1-based)."""
+        """Gram matrix of controller k (1-based); a fresh identity on a full support."""
         if not 1 <= k <= self.hbar:
             raise ValueError(f"controller index {k} outside 1..{self.hbar}")
-        return self._overlaps[k - 1]
+        gram = self._grams[k - 1]
+        return np.eye(self.domain.modes) if gram is None else gram
 
     def gain(self, k):
         if not 1 <= k <= self.hbar:
@@ -233,7 +234,7 @@ class CoupledSystem:
 
     def has_full_supports(self):
         """True when every controller acts on the whole interval."""
-        return all(self._full)
+        return all(g is None for g in self._grams)
 
 
 def _check_state(system, state):
@@ -247,6 +248,18 @@ def _check_state(system, state):
     return st
 
 
+def _shifted_flow(system, t, adjoint=False):
+    """``(E, decay)``: the flow over t with the commuting shift by lambda_1
+    factored out, ``E = exp((P - lambda_1 I) t)`` (P^T when adjoint) and
+    ``decay = exp(-(lambda - lambda_1) t)`` per mode."""
+    lam = system.domain.eigenvalues()
+    lam1 = lam[0]
+    base = system.coupling.T if adjoint else system.coupling
+    with np.errstate(over="ignore"):  # an exponent that overflows to -inf decays to 0
+        decay = np.exp(-(lam - lam1) * t)
+    return mat_exp(base - lam1 * np.eye(system.n), t), decay
+
+
 def _flow(system, state, t, adjoint):
     st = _check_state(system, state)
     t = float(t)
@@ -254,12 +267,7 @@ def _flow(system, state, t, adjoint):
         raise ValueError("semigroup time must be nonnegative and finite")
     if t == 0.0:
         return st.copy()
-    lam = system.domain.eigenvalues()
-    lam1 = lam[0]
-    base = system.coupling.T if adjoint else system.coupling
-    shifted = base - lam1 * np.eye(system.n)
-    E = mat_exp(shifted, t)
-    decay = np.exp(-(lam - lam1) * t)
+    E, decay = _shifted_flow(system, t, adjoint)
     with np.errstate(over="ignore", invalid="ignore"):
         out = (E @ st) * decay[None, :]
     if not np.all(np.isfinite(out)):
@@ -304,8 +312,7 @@ def apply_impulse(system, state, k, u):
         for a full-support controller this is exactly ``state + Q_k u``.
     """
     st = _check_state(system, state)
-    if not 1 <= k <= system.hbar:
-        raise ValueError(f"controller index {k} outside 1..{system.hbar}")
+    gain = system.gain(k)
     u = np.asarray(u, dtype=float)
     if u.shape != (system.m, system.domain.modes):
         raise ValueError(
@@ -313,30 +320,16 @@ def apply_impulse(system, state, k, u):
         )
     if not np.all(np.isfinite(u)):
         raise ValueError("control coefficients must be finite")
-    if system._full[k - 1]:
-        # full support: the Gram matrix is the identity, skip the projection
-        return st + system.gain(k) @ u
-    gram = system.overlap(k)
-    return st + system.gain(k) @ (u @ gram)
-
-
-def _slot_steps(generator, sched):
-    """``(D_r, exp(generator D_r))`` per slot r, ``D_r = b_r - b_{r-1}``, b_0 = 0:
-    the step maps of `Propagators` and of `observability._rank_search`."""
-    steps, prev = [], 0.0
-    for b in sched.base_times:
-        steps.append((b - prev, mat_exp(generator, b - prev)))
-        prev = b
-    return steps
+    gram = system._grams[k - 1]
+    return st + gain @ (u if gram is None else u @ gram)
 
 
 class Propagators:
     """Flow maps of one system on one periodic schedule.
 
-    Slot r (1-based, impulse j uses slot nu(j)) holds the lambda_1-shifted
-    step map ``exp((P - lambda_1 I) D_r)`` and the per-mode decay
-    ``exp(-(lambda - lambda_1) D_r)`` over ``D_r = b_r - b_{r-1}`` (b_0 = 0),
-    plus the controller's gain and Gram matrix (None on a full support).
+    Slot r (1-based, impulse j uses slot nu(j)) holds `_shifted_flow` over
+    its length D_r (`ImpulseSchedule.slot_lengths`), plus the controller's
+    gain and Gram matrix (None on a full support).
     `advance` is the one flow-and-jump step of every forward loop, and
     `to_final` the maps from each impulse to a final impulse (adjoint maps
     are their transposes). `gain_stack` (with its decays, `final_stack`)
@@ -350,18 +343,10 @@ class Propagators:
     """
 
     def __init__(self, system, sched):
-        lam = system.domain.eigenvalues()
-        lam1 = lam[0]
-        shifted = system.coupling - lam1 * np.eye(system.n)
         self.system = system
         self.hbar = sched.hbar
-        self.steps = [
-            (E, np.exp(-(lam - lam1) * dt)) for dt, E in _slot_steps(shifted, sched)
-        ]
-        self.jumps = [
-            (system.gain(r), None if system._full[r - 1] else system.overlap(r))
-            for r in range(1, sched.hbar + 1)
-        ]
+        self.steps = [_shifted_flow(system, dt) for dt in sched.slot_lengths]
+        self.jumps = list(zip(system.gains, system._grams))
         self._tails = {}
 
     def advance(self, state, j, u=None):

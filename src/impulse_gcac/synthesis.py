@@ -34,18 +34,18 @@ from .linalg import (
     UnreachableTargetError,
     as_matrix,
     column_span,
-    mat_exp,
     min_norm_solve,
 )
 from .observability import (
     RankDeficiencyError,
     _dissipative,
+    _pullback_stack,
     _rank_search,
     _spectral_class,
     _spectral_tol,
     finite_obs_constant,
 )
-from .schedule import check_cycle, nu, time_at
+from .schedule import _check_gains, check_cycle, time_at
 from .spectral import (
     NonFiniteStateError,
     Propagators,
@@ -251,17 +251,17 @@ def gramian_delta(P, gains, sched, k_star, lam1=1.0):
     M^{-1} eta``, each of norm at most 1.
 
     lam1 is the first diffusion eigenvalue of the domain; the default
-    matches an interval of length pi. Each block is one direct matrix
-    exponential; mode-1 steering takes its ball from the final-time stack
-    instead (`_chunked_mode1`).
+    matches an interval of length pi. S is the pull-back stack of
+    `finite_obs_constant` under the generator lam1 I - P; mode-1 steering
+    takes its ball from the final-time stack instead (`_chunked_mode1`).
+    Raises ValueError unless there is one gain per schedule slot.
     """
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
     P = as_matrix(P)
-    pull = lam1 * np.eye(P.shape[0]) - P
-    S = np.hstack([
-        mat_exp(pull, time_at(sched, j)) @ gains[nu(sched, j) - 1] for j in range(1, k_star + 1)
-    ])
+    _check_gains(gains, sched)
+    taus = [time_at(sched, j) for j in range(1, k_star + 1)]
+    S = _pullback_stack(lam1 * np.eye(P.shape[0]) - P, gains, taus)
     span = column_span(S)
     if span.rank < S.shape[0]:
         raise ValueError(

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observability import _spectral_class
-from .schedule import check_cycle, time_at
+from .observability import _spectral_class, _spectral_tol
+from .schedule import check_cycle
 from .spectral import NonFiniteStateError, Propagators, _check_state, zero_state
 from .synthesis import _HorizonModel, _dual_bound
 
@@ -34,7 +34,8 @@ __all__ = [
 
 
 class InapplicableCertificateError(ValueError):
-    """No coupling eigenvalue grows faster than the first diffusion mode."""
+    """The spectral verdict is 'strict' or 'boundary': no coupling eigenvalue has
+    real part above lambda_1 by more than the margin `observability._spectral_tol`."""
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,14 @@ def negative_bound(system, sched, epsilon0):
     check_cycle(system, sched)
     if epsilon0 <= 0.0:
         raise ValueError("epsilon0 must be positive")
-    if _spectral_class(system) != "violated":
-        raise InapplicableCertificateError(
-            "no coupling eigenvalue has real part above the first diffusion "
-            "eigenvalue; a negative certificate does not apply"
-        )
+    verdict = _spectral_class(system)
     lam1 = system.first_eigenvalue
+    if verdict != "violated":
+        raise InapplicableCertificateError(
+            f"the spectral verdict is '{verdict}': no coupling eigenvalue has real "
+            f"part above lambda_1 = {lam1!r} by more than the margin "
+            f"{_spectral_tol(lam1)!r}; a negative certificate does not apply"
+        )
     w, V = np.linalg.eig(system.coupling.T)
     # the fastest-growing eigenvalue gives the smallest threshold
     pick = max(range(len(w)), key=lambda i: (w[i].real, w[i].imag >= 0.0))
@@ -106,10 +109,7 @@ def negative_bound(system, sched, epsilon0):
     eta = eta / np.linalg.norm(eta)
 
     q_max = max(float(np.linalg.norm(Q, 2)) for Q in system.gains)
-    dt_min = min(
-        time_at(sched, j) - time_at(sched, j - 1) for j in range(1, system.hbar + 1)
-    )
-    base = q_max / ((rho.real - lam1) * dt_min)
+    base = q_max / ((rho.real - lam1) * min(sched.slot_lengths))
 
     eta_hat = np.imag(eta)
     if np.linalg.norm(eta_hat) <= 1e-12:

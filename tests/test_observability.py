@@ -421,3 +421,24 @@ def test_verdict_supercritical_spectrum():
     verdict = hypothesis_verdict(system, unit_schedule(), k_max=5)
     assert verdict.spectral == "violated"
     assert not verdict.dissipative
+
+
+# ---------------------------------------------------------------------------
+# one gain per slot; typed errors of the composition
+
+
+def test_rank_condition_needs_one_gain_per_slot():
+    e1 = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="2 impulse slots but got 1 gains"):
+        rank_condition(np.eye(2), [e1], ImpulseSchedule((0.5, 1.0)), 4)
+    with pytest.raises(ValueError, match="1 impulse slots but got 2 gains"):
+        rank_condition(np.eye(2), [e1, e1], ImpulseSchedule((1.0,)), 4)
+
+
+@pytest.mark.parametrize("rate, t_bad", [(800.0, 1.0), (739.0, 1.0)])
+def test_compose_obs_raises_typed_error_when_a_flow_norm_has_no_inverse(rate, t_bad):
+    # ||flow(1)|| = exp(-(rate + 1)): 0 for rate 800, subnormal with an
+    # infinite inverse for rate 739
+    system = make_system(-rate * np.eye(1), [np.eye(1)], modes=4)
+    with pytest.raises(NonFiniteStateError, match=f"t = {t_bad}"):
+        compose_obs(1.0, 0.1, 1, 3, system, unit_schedule())

@@ -144,3 +144,13 @@ def test_span_property_within_rotation_window():
         assert times[-1] - times[0] < d_min_imag(-P)
         stacked = np.hstack([mat_exp(-P, t) @ Q for t in times])
         assert numerical_rank(stacked) == numerical_rank(kalman_stack(-P, Q))
+
+
+def test_slot_lengths_are_the_time_differences_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        base = np.cumsum(rng.uniform(0.01, 3.0, size=int(rng.integers(1, 6))))
+        sched = ImpulseSchedule(base_times=tuple(float(b) for b in base))
+        assert len(sched.slot_lengths) == sched.hbar
+        for r in range(1, sched.hbar + 1):
+            assert sched.slot_lengths[r - 1] == time_at(sched, r) - time_at(sched, r - 1)

@@ -1,16 +1,20 @@
 """Tests for the spectral model: modes, overlaps, flow, impulses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import make_system, two_component_invariant_system
 
 from impulse_gcac.observability import semigroup_norm
+from impulse_gcac.schedule import ImpulseSchedule
 from impulse_gcac.spectral import (
     Controller,
     CoupledSystem,
+    Propagators,
     SpectralDomain,
+    _shifted_flow,
     apply_adjoint_semigroup,
     apply_impulse,
     apply_semigroup,
@@ -265,3 +269,60 @@ def test_random_state_norm():
     system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
     st = random_state(system, np.random.default_rng(0), norm=7.5)
     assert l2_norm(st) == pytest.approx(7.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one model: Gram matrices only on partial supports, one shifted flow
+
+
+def test_full_support_system_stores_no_gram_matrix():
+    tracemalloc.start()
+    try:
+        make_system(np.zeros((1, 1)), [np.eye(1)], modes=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an N x N identity at N = 4096 would take 128 MiB
+    assert peak < 1 << 20
+
+
+def test_mixed_supports_store_only_the_partial_gram_matrix():
+    Q = np.array([[1.0, 0.5], [0.0, 2.0]])
+    system = make_system(np.zeros((2, 2)), [Q, np.eye(2)], supports=[(0.0, math.pi), (0.5, 2.0)])
+    assert not system.has_full_supports()
+    rng = np.random.default_rng(31)
+    st = rng.standard_normal((2, 32))
+    u = rng.standard_normal((2, 32))
+    assert np.array_equal(apply_impulse(system, st, 1, u), st + Q @ u)
+    assert np.array_equal(system.overlap(1), np.eye(32))
+    assert np.array_equal(system.overlap(2), overlap_matrix(system.domain, 0.5, 2.0))
+
+
+def test_eigenvalue_and_eigenvalues_round_alike():
+    # Python's ** 2 and numpy's square differ in the last bit on some lengths
+    lengths = np.random.default_rng(37).uniform(0.01, 100.0, size=1000)
+    for length in lengths:
+        system = make_system(np.zeros((1, 1)), [np.eye(1)], length=float(length), modes=8)
+        lam = system.domain.eigenvalues()
+        assert system.first_eigenvalue == lam[0]
+        for i in range(1, 9):
+            assert system.domain.eigenvalue(i) == lam[i - 1]
+
+
+def test_engine_steps_are_the_shifted_flow_over_each_slot():
+    P = np.array([[0.3, -1.2], [0.8, -0.4]])
+    gains = [np.eye(2), np.array([[1.0, 0.0], [0.5, 0.0]])]
+    system = make_system(P, gains, supports=[(0.0, 2.5), (0.4, 1.9)], length=2.5, modes=6)
+    sched = ImpulseSchedule(base_times=(0.37, 1.1))
+    props = Propagators(system, sched)
+    for (E, decay), D in zip(props.steps, sched.slot_lengths):
+        E_ref, decay_ref = _shifted_flow(system, D)
+        assert np.array_equal(E, E_ref)
+        assert np.array_equal(decay, decay_ref)
+
+
+def test_flows_over_huge_times_decay_to_zero_without_warnings():
+    # the decay exponent -(lambda - lambda_1) t overflows to -inf at t = 1e308
+    system = make_system(-np.eye(1), [np.eye(1)], modes=4)
+    assert semigroup_norm(system, 1e308) == 0.0
+    assert np.array_equal(apply_semigroup(system, np.ones((1, 4)), 1e308), np.zeros((1, 4)))

@@ -199,6 +199,14 @@ def test_gramian_delta_rejects_an_empty_horizon():
         gramian_delta(np.eye(2), [np.eye(2)], unit_schedule(), 0)
 
 
+def test_gramian_delta_needs_one_gain_per_slot():
+    e1 = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="2 impulse slots but got 1 gains"):
+        gramian_delta(np.eye(2), [e1], ImpulseSchedule((0.5, 1.0)), 4)
+    with pytest.raises(ValueError, match="1 impulse slots but got 2 gains"):
+        gramian_delta(np.eye(2), [np.eye(2), np.eye(2)], unit_schedule(), 1)
+
+
 def test_gramian_delta_two_impulses():
     # blocks stay the identity at both times, so M = 2I and the ball radius
     # is smin^2/smax = 2/sqrt(2)

@@ -199,3 +199,16 @@ def test_gap_under_growth_stays_finite_until_its_squares_overflow():
         assert 0.0 <= lower <= achieved < math.inf
     with pytest.raises(NonFiniteStateError):
         reachability_gap(system, unit_schedule(), x0, 180, 5)
+
+
+def test_inapplicable_message_names_verdict_lambda1_and_margin():
+    quiet = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    with pytest.raises(InapplicableCertificateError) as err:
+        negative_bound(quiet, unit_schedule(), 1.0)
+    assert "verdict is 'strict'" in str(err.value)
+    assert "lambda_1 = 1.0" in str(err.value) and "margin 1e-09" in str(err.value)
+    assert "does not apply" in str(err.value)
+    # inside the margin above lambda_1 the verdict is 'boundary'
+    band = make_system(np.diag([1.0 + 5e-10, 0.3]), [np.eye(2)], modes=8)
+    with pytest.raises(InapplicableCertificateError, match="verdict is 'boundary'"):
+        negative_bound(band, unit_schedule(), 1.0)

@@ -247,7 +247,7 @@ def _reading_maps(system, sched, k, final, modes):
     `final_stack(final)` cut to k impulses; decays cut to `modes` modes.
     """
     props = Propagators(system, sched)
-    F0, d0, S, G = props.final_stack(final)
+    F0, d0, S, G, _ = props.final_stack(final)
     cut = k * system.m
     return props, F0.T, d0[:modes], S[:, :cut], G[:cut, :modes]
 

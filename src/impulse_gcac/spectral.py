@@ -338,6 +338,8 @@ class Propagators:
     stack by a factor of each slot's Gram matrix instead.
     `to_final`, `gain_stack` and `final_stack` read one backward product
     per slot, which the engine keeps and extends for later horizons.
+    `final_stack` also gives each decay's live prefix, past which it is
+    exactly 0; products cut there match uncut ones to rounding only.
     Construction costs hbar matrix exponentials; an engine lives for one
     call and is never cached beyond it.
     """
@@ -413,15 +415,18 @@ class Propagators:
         return maps[k], S[:, S.shape[1] - k * self.system.m :]
 
     def final_stack(self, k):
-        """``(F0, d0, S, G)``: the gain stack of `gain_stack` and its decays.
+        """``(F0, d0, S, G, live)``: the gain stack of `gain_stack` and its decays.
 
         d0 is the per-mode decay from t_0 to t_k, and G, shape (k m, N),
-        holds each column of S's per-mode decay from t_j to t_k.
+        holds each column of S's per-mode decay from t_j to t_k. live[j],
+        j = 0..k, counts the nonzero modes of the decay from t_j to t_k, a
+        prefix since decays fall with the mode index; a product cut to it
+        matches the uncut one to rounding, not bitwise.
         """
         F0, S = self.gain_stack(k)
-        decays = self._backward(k)[1]
-        G = np.repeat(np.array(decays[:k][::-1]), self.system.m, axis=0)
-        return F0, decays[k], S, G
+        decays = np.array(self._backward(k)[1][k::-1])
+        G = np.repeat(decays[1:], self.system.m, axis=0)
+        return F0, decays[0], S, G, np.count_nonzero(decays, axis=1)
 
     def project(self, U):
         """Each slot's Gram matrix, cut to p x p, applied to its impulses' rows.

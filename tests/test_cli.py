@@ -484,3 +484,18 @@ def test_missing_scenario_file_exits_one(tmp_path, capsys):
     code = main(["check", "--scenario", str(tmp_path / "absent.json")])
     assert code == 1
     assert "parse-error" in capsys.readouterr().err
+
+
+def test_every_traced_benchmark_name_is_a_package_callable():
+    # a traced benchmark run reports one per-layer metric for each traced
+    # name the package defines, so a dropped name silently drops its metric
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name in tracing.TRACED:
+        home = importlib.import_module(f"impulse_gcac.{module}")
+        assert callable(getattr(home, name, None)), f"impulse_gcac.{module}.{name}"

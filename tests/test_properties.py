@@ -9,12 +9,14 @@ spectrum stays below the first diffusion eigenvalue, and the period.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from impulse_gcac import synthesis
 from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
 from impulse_gcac.observability import (
     RankDeficiencyError,
@@ -140,7 +142,7 @@ def test_shorter_gain_stacks_are_tails_of_longer_ones_bitwise(case, k, extra):
     props = Propagators(system, sched)
     props.gain_stack(K + 1)
     props.gain_stack(K)
-    F0, d0, S, G = props.final_stack(k)
+    F0, d0, S, G, _ = props.final_stack(k)
     F, d, blocks, decays = np.eye(system.n), np.ones(system.domain.modes), [], []
     for j in range(k, 0, -1):
         blocks.append(F @ system.gain(nu(sched, j)))
@@ -216,6 +218,124 @@ def test_stacked_map_matches_the_replay_loop(case, k):
     assert np.linalg.norm(stacked - replay) <= 1e-12 * np.linalg.norm(replay)
 
 
+@st.composite
+def underflowing_systems(draw):
+    """Dissipative `strict_systems` on 96-160 modes with periods of 0.4-1,
+    each controller on the full interval or its drawn local support.
+
+    Over one period every decay underflows to exactly 0 past mode 44 or
+    earlier, so a descent that cuts every dead column has columns to cut.
+    """
+    modes = draw(st.integers(96, 160))
+    system, sched = draw(
+        strict_systems(local=True, modes=modes, dissipative=True, periods=(0.4, 1.0))
+    )
+    full = draw(st.lists(st.booleans(), min_size=system.hbar, max_size=system.hbar))
+    supports = [(0.0, math.pi) if f else c.support for f, c in zip(full, system.controllers)]
+    return make_system(system.coupling, system.gains, supports=supports, modes=modes), sched
+
+
+# two slots, full then local support, on 128 modes
+MIXED_UNDERFLOW = (
+    make_system(
+        np.array([[-0.4, 0.3], [-0.2, 0.1]]),
+        [np.eye(2), np.array([[1.0, -0.5], [0.3, 1.0]])],
+        supports=[(0.0, math.pi), (0.4, 2.1)],
+        modes=128,
+    ),
+    ImpulseSchedule(base_times=(0.3, 0.8)),
+)
+
+
+# two slots, both local, on 128 modes
+LOCAL_UNDERFLOW = (
+    make_system(
+        np.array([[-0.4, 0.3], [-0.2, 0.1]]),
+        [np.eye(2), np.array([[1.0, -0.5], [0.3, 1.0]])],
+        supports=[(0.2, 1.7), (0.4, 2.1)],
+        modes=128,
+    ),
+    ImpulseSchedule(base_times=(0.3, 0.8)),
+)
+
+
+def cut_every_dead_column():
+    """Let the descent cut wherever a column is dead, however little it saves."""
+    return mock.patch.object(synthesis, "_CUT_SAVING", 0)
+
+
+def test_the_descent_cuts_only_where_it_saves_enough_work():
+    system, sched = LOCAL_UNDERFLOW
+    props = Propagators(system, sched)
+    assert _HorizonModel(props, 7).pieces is None  # 6 rows of about 80 dead modes
+    with cut_every_dead_column():
+        model = _HorizonModel(props, 7)
+        # a full support has no Gram product to save: a model with one is never cut
+        assert _HorizonModel(Propagators(*MIXED_UNDERFLOW), 7).pieces is None
+    cuts = [modes.stop for _, modes, *_ in model.pieces[:-1]]
+    assert len(cuts) == 2 and all(0 < p < 64 for p in cuts)
+    # one slot on 512 modes: the earlier impulses of a horizon of 4 are cut
+    # to the prefix of the last but one, those of a horizon of 2 are not
+    gain = np.array([[1.0], [0.5]])
+    local = make_system(np.diag([-0.2, 0.1]), [gain], supports=[(0.4, 2.1)], modes=512)
+    props = Propagators(local, ImpulseSchedule(base_times=(0.5,)))
+    live = props.final_stack(4)[4]
+    assert [modes for _, modes, *_ in _HorizonModel(props, 4).pieces] == [
+        slice(0, live[3]),
+        slice(live[3], 512),
+    ]
+    assert _HorizonModel(props, 2).pieces is None
+
+
+@example(case=LOCAL_UNDERFLOW, k=7)
+@example(case=MIXED_UNDERFLOW, k=7)
+@given(underflowing_systems(), st.integers(1, 12))
+def test_cut_maps_match_the_dense_products_and_the_replay(case, k):
+    system, sched = case
+    props = Propagators(system, sched)
+    with cut_every_dead_column():
+        model = _HorizonModel(props, k)
+    rng = np.random.default_rng(k)
+    U = rng.standard_normal(model.shape)
+    y = random_state(system, rng)
+    # the dense oracle: every impulse row on all N modes
+    _, _, S, G, _ = props.final_stack(k)
+    image, grads = model.apply(U), model.gradient(y)
+    assert rel_err(image, S @ (props.project(U).reshape(G.shape) * G)) <= 1e-13
+    assert rel_err(grads, props.project(((S.T @ y) * G).reshape(model.shape))) <= 1e-13
+    scale = np.linalg.norm(U) * np.linalg.norm(grads) + np.linalg.norm(image) * np.linalg.norm(y)
+    assert abs(float(np.vdot(image, y)) - float(np.vdot(U, grads))) <= 1e-12 * scale
+    x0 = random_state(system, rng)
+    replay = model.forward(x0, list(U))
+    assert np.linalg.norm(model.free(x0) + image - replay) <= 1e-12 * np.linalg.norm(replay)
+
+
+@example(case=LOCAL_UNDERFLOW, k=7)
+@example(case=MIXED_UNDERFLOW, k=7)
+@given(underflowing_systems(), st.integers(1, 12))
+def test_the_live_prefix_is_exact(case, k):
+    # every decay is 0.0 past its reported prefix and nonzero at its end
+    system, sched = case
+    _, d0, _, G, live = Propagators(system, sched).final_stack(k)
+    assert live.shape == (k + 1,) and live[k] == system.domain.modes
+    for decay, p in zip(np.vstack([d0, G[:: system.m]]), live):
+        assert np.all(decay[p:] == 0.0) and decay[p - 1] != 0.0
+
+
+@settings(max_examples=10)
+@example(case=LOCAL_UNDERFLOW, norm=2.0, frac=0.05)
+@example(case=MIXED_UNDERFLOW, norm=2.0, frac=0.05)
+@given(underflowing_systems(), st.floats(0.1, 3.0), st.floats(0.01, 0.5))
+def test_local_synthesis_on_cut_models_returns_its_replay(case, norm, frac):
+    system, sched = case
+    x0 = random_state(system, np.random.default_rng(7), norm=norm)
+    with cut_every_dead_column():
+        res = local_gcac_synthesize(system, sched, x0, frac * norm, 8)
+    replay = simulate(system, sched, x0, res.controls, res.horizon_k)
+    assert np.array_equal(res.final_state, replay)
+    assert res.residual == l2_norm(res.final_state)
+
+
 @example(
     # two slots, full then local support, read on fewer modes than retained
     case=(
@@ -260,7 +380,7 @@ def _per_poll_delta_obs(system, sched, k, delta, sample_count, seed=0):
     """
     n, m, pm = system.n, system.m, min(PROBE_MODES, system.domain.modes)
     props = Propagators(system, sched)
-    F0, d0, S, G = props.final_stack(k)
+    F0, d0, S, G, _ = props.final_stack(k)
     F0T, d0, S, G = F0.T, d0[:pm], S[:, : k * m], G[: k * m, :pm]
     kernel = column_span(S).null
     if kernel.size and np.linalg.norm(F0T @ kernel, 2) > delta * (1.0 + 1e-12):
@@ -567,10 +687,12 @@ def test_stacked_null_solve_matches_per_mode_solves(case, k):
     shape = (system.m, system.domain.modes)
     assert len(res.controls) == k and all(u.shape == shape for u in res.controls.impulses)
     A, b = _null_equations(Propagators(system, sched), x0, k)
-    for i in range(system.domain.modes):
+    for i in range(len(A)):
         xi = min_norm_solve(A[i], b[i], tol=1e-14)
         got = np.concatenate([u[:, i] for u in res.controls.impulses])
         assert np.linalg.norm(got - xi) <= 1e-9 * max(np.linalg.norm(xi), 1e-300)
+    # past the live prefix every control is exactly 0
+    assert all(np.all(u[:, len(A) :] == 0.0) for u in res.controls.impulses)
 
 
 # ---------------------------------------------------------------------------

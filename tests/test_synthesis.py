@@ -508,18 +508,21 @@ def test_null_steer_single_impulse_closed_form():
 
 
 def test_null_steer_skips_underflowed_modes_exactly():
-    # on 256 modes most decays underflow to 0, so most right-hand sides are
-    # 0; solving only the others must give the pinv solution over all modes
+    # on 256 modes most decays underflow to 0, so most free final modes are
+    # 0; the equations cover only the others, whose pinv solution is the
+    # control, and the control is exactly 0 on the rest
     P, Q = np.array([[0.2, 0.3], [-0.1, 0.1]]), np.array([[1.0], [0.4]])
     system = make_system(P, [Q], modes=256)
     sched = ImpulseSchedule(base_times=(0.3,))
     x0 = random_state(system, np.random.default_rng(256), norm=3.0)
     props = Propagators(system, sched)
     A, b = synthesis._null_equations(props, x0, 2)
-    assert 0 < np.count_nonzero(np.any(b != 0.0, axis=1)) < 256
+    p = len(A)
+    assert 0 < p < 256 and np.all(props.final_stack(2)[1][p:] == 0.0)
     xi = np.matmul(np.linalg.pinv(A, rcond=1e-14), b[:, :, None])[:, :, 0]
-    res = synthesis._null_steer(props, x0, 2)
-    assert np.array_equal(np.vstack(res.controls.impulses), xi.T)
+    controls = np.vstack(synthesis._null_steer(props, x0, 2).controls.impulses)
+    assert np.array_equal(controls[:, :p], xi.T)
+    assert np.all(controls[:, p:] == 0.0)
 
 
 def test_null_steer_rank_failure_names_a_witness():
@@ -889,6 +892,35 @@ def test_descent_ends_in_the_typed_error_when_a_trial_step_overflows(bad):
         out = exact(U)
         # the first two calls are the start's image and the step size
         return out if len(calls) <= 2 else np.full_like(out, bad)
+
+    model.apply = overflowing
+    with pytest.raises(NonFiniteStateError):
+        model.descend(x0, np.zeros(model.shape), 50)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_cut_descent_ends_in_the_typed_error_when_a_dead_column_overflows(bad):
+    # on 512 modes and unit periods every earlier decay underflows past mode
+    # 27, so the local-support descent cuts its products there; a trial
+    # image that turns non-finite only on those columns must still end it
+    system = make_system(np.diag([1.5, 0.0]), [np.eye(2)], supports=[(0.4, 2.1)], modes=512)
+    x0 = random_state(system, np.random.default_rng(3))
+    model = _HorizonModel(Propagators(system, unit_schedule()), 4)
+    assert model.pieces is not None
+    dead = model.pieces[0][1].stop
+    assert 0 < dead < 64
+    exact = model.apply
+    calls = []
+
+    def overflowing(U):
+        calls.append(None)
+        assert len(calls) < 100, "the backtracking did not stop"
+        out = exact(U)
+        # the first two calls are the start's image and the step size
+        if len(calls) > 2:
+            out[:, dead:] = bad
+        return out
 
     model.apply = overflowing
     with pytest.raises(NonFiniteStateError):

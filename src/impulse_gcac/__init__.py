@@ -49,7 +49,6 @@ from .observability import (
     delta_obs_constant,
     finite_obs_constant,
     hypothesis_verdict,
-    interpolation_estimate,
     kalman_rank,
     observation_norm,
     rank_condition,
@@ -63,7 +62,6 @@ from .synthesis import (
     constrained_null_synthesize,
     decay_horizon,
     gcac_synthesize,
-    gramian_delta,
     local_gcac_synthesize,
     null_steer,
     project_H1,
@@ -106,9 +104,7 @@ __all__ = [
     "delta_obs_constant",
     "finite_obs_constant",
     "gcac_synthesize",
-    "gramian_delta",
     "hypothesis_verdict",
-    "interpolation_estimate",
     "kalman_rank",
     "krylov_dim",
     "l2_norm",

@@ -5,21 +5,22 @@ Two kinds of quantities live here and are kept clearly apart:
 * certified: the controllability rank condition, the Kalman rank test, the
   finite-dimensional observability constant (an exact Gramian eigenvalue),
   and operator norms of the flow (an exact mode-wise formula);
-* sampled: the interpolation-inequality fit and the delta-approximate
-  observability constant, which are empirical surrogates for suprema over
-  infinitely many states. Their reports carry method="sampled-fit".
+* sampled: the delta-approximate observability constant, an empirical
+  surrogate for a supremum over infinitely many states. Its reports carry
+  method="sampled-fit".
 
 Every report records the horizon, the constant, and which of the two
 routes produced it.
 Rank decisions and Gramian constants are read from `linalg.column_span`;
 the rank search steps its stack to each impulse time through the
 per-slot maps ``exp(P D_r)`` over `ImpulseSchedule.slot_lengths`, in the
-final-time frame of the engine; the Gramian constant reads `_pullback_stack`. The sampled
-constants build one reading matrix per call from the gain stack of
-`spectral.Propagators.final_stack`, the maps synthesis descends on: a
-probe state's adjoint flow and every controller reading, each weighted by
-a factor of its Gram matrix, are segments of one row product, so a
-pattern-search poll is a handful of operations on precomputed arrays.
+final-time frame of the engine; the Gramian constant stacks the pull-back
+blocks ``exp(-P tau_j) Q_j``. The sampled constant builds one reading
+matrix per call from the gain stack of `spectral.Propagators.final_stack`,
+the maps synthesis descends on: a probe state's adjoint flow and every
+controller reading, each weighted by a factor of its Gram matrix, are
+segments of one row product, so a pattern-search poll is a handful of
+operations on precomputed arrays.
 `delta_obs_constant` is a sampled lower estimate on the first
 PROBE_MODES modes. Its probe states depend only on (seed, sample count,
 dimension): they are drawn once into a read-only table that every call
@@ -55,15 +56,12 @@ __all__ = [
     "rank_condition",
     "kalman_rank",
     "finite_obs_constant",
-    "interpolation_estimate",
     "delta_obs_constant",
     "compose_obs",
     "semigroup_norm",
     "hypothesis_verdict",
 ]
 
-# the fitted interpolation exponent is fixed at theta = 1 - THETA_STEP
-THETA_STEP = 0.01
 # delta_obs_constant samples states on the leading modes only; its value
 # is a sampled lower estimate on that probe space, not over all modes
 PROBE_MODES = 4
@@ -92,9 +90,6 @@ class ObservabilityReport:
         The constant; +inf when no finite constant exists.
     method : str
         'exact-gramian' or 'sampled-fit'.
-    theta : float, optional
-        Interpolation exponent; only for sampled fits of the
-        interpolation inequality.
     delta : float, optional
         The relaxation level, for delta-approximate variants.
     """
@@ -102,7 +97,6 @@ class ObservabilityReport:
     k: int
     constant: float
     method: str
-    theta: Optional[float] = None
     delta: Optional[float] = None
 
 
@@ -197,14 +191,6 @@ def kalman_rank(P, gains):
     return numerical_rank(_krylov_stack(P, B)) == P.shape[0]
 
 
-def _pullback_stack(generator, gains, taus):
-    """``[exp(generator tau_j) Q_j]`` side by side, the gains used cyclically."""
-    return np.hstack([
-        mat_exp(generator, tau) @ as_matrix(Q, rows=generator.shape[0])
-        for tau, Q in zip(taus, itertools.cycle(gains))
-    ])
-
-
 def finite_obs_constant(P, gains, taus):
     """Optimal constant bounding ``||v||^2`` by summed observation energies.
 
@@ -220,7 +206,11 @@ def finite_obs_constant(P, gains, taus):
         raise ValueError("at least one observation time is required")
     if any(t <= 0.0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("observation times must be positive and strictly increasing")
-    sigma_n = column_span(_pullback_stack(-P, gains, taus)).sigma_n
+    stack = np.hstack([
+        mat_exp(-P, tau) @ as_matrix(Q, rows=P.shape[0])
+        for tau, Q in zip(taus, itertools.cycle(gains))
+    ])
+    sigma_n = column_span(stack).sigma_n
     constant = 1.0 / sigma_n**2 if sigma_n > 0.0 else math.inf
     return ObservabilityReport(k=len(taus), constant=constant, method="exact-gramian")
 
@@ -240,16 +230,15 @@ def observation_norm(system, k_ctrl, state):
     return math.sqrt(max(energy, 0.0))
 
 
-def _reading_maps(system, sched, k, final, modes):
-    """``(props, F0^T, d0, S, G)`` for readings of impulses 1..k at t_final.
+def _reading_maps(system, sched, k, modes):
+    """``(props, F0^T, d0, S, G)`` for readings of impulses 1..k at t_k.
 
-    The engine, its adjoint flow from t_0 to t_final, and its
-    `final_stack(final)` cut to k impulses; decays cut to `modes` modes.
+    The engine, its adjoint flow from t_0 to t_k, and its `final_stack(k)`;
+    decays cut to `modes` modes.
     """
     props = Propagators(system, sched)
-    F0, d0, S, G, _ = props.final_stack(final)
-    cut = k * system.m
-    return props, F0.T, d0[:modes], S[:, :cut], G[:cut, :modes]
+    F0, d0, S, G, _ = props.final_stack(k)
+    return props, F0.T, d0[:modes], S, G[:, :modes]
 
 
 def _reading_matrix(maps):
@@ -281,72 +270,6 @@ def _reading_matrix(maps):
     ])
     cuts = np.concatenate([[0], n * p + m * p * np.arange(k)])
     return W, cuts
-
-
-def _batch_readings(W, cuts, zs):
-    """lhs norms and summed readings for a batch of flattened states.
-
-    zs has shape (batch, n p). Returns (lhs, obs) arrays of length batch,
-    where lhs is the adjoint-flow norm at T = t_final and obs the summed
-    controller readings at T - t_j, j = 1..k, all from one transposed
-    product ``W^T zs^T`` with the reading matrix of `_reading_matrix`: its
-    rows are the segments, the adjoint flow's first, then k readings of
-    equal width, so every segment sum is a reduction over whole rows.
-    """
-    img = W.T @ zs.T
-    np.square(img, out=img)
-    head, k = cuts[1], len(cuts) - 1
-    lhs = np.sqrt(img[:head].sum(axis=0))
-    obs = np.sqrt(img[head:].reshape(k, (img.shape[0] - head) // k, -1).sum(axis=1)).sum(axis=0)
-    return lhs, obs
-
-
-def interpolation_estimate(system, sched, k, sample_count, seed=0):
-    """Sampled fit of the interpolation inequality at horizon k.
-
-    The exponent is fixed at theta = 1 - THETA_STEP = 0.99; over
-    `sample_count` random truncated states z the routine finds the smallest
-    constant C so that
-    ``||flow*(t_{k+1}) z|| <= C (sum of readings)^theta ||z||^(1-theta)``
-    holds on every sample, the readings being taken at times t_{k+1} - t_j.
-    The result is an empirical report, not a certificate. Its reading
-    matrix holds n N x (n + k m) N floats: 302 MB at N = 512, n = 4, k = 8
-    and m = 4.
-
-    Raises
-    ------
-    RankDeficiencyError
-        When the gain stack of the readings is rank deficient; the witness
-        attribute carries a unit direction whose readings all vanish.
-    """
-    if sample_count < 100:
-        raise ValueError("at least 100 samples are required")
-    if k < 1:
-        raise ValueError("horizon k must be at least 1")
-    check_cycle(system, sched)
-    maps = _reading_maps(system, sched, k, k + 1, system.domain.modes)
-    # directions invisible to every reading; see delta_obs_constant
-    kernel = column_span(maps[3]).null
-    if kernel.size:
-        raise RankDeficiencyError(
-            f"rank condition fails at horizon {k}: a component direction is "
-            "invisible to every controller reading",
-            witness=kernel[:, 0],
-        )
-    rng = np.random.default_rng(seed)
-    zs = rng.standard_normal((sample_count, system.n, system.domain.modes))
-    zs = zs.reshape(sample_count, -1)
-    norms = np.linalg.norm(zs, axis=1)
-    keep = norms > 0.0
-    zs, norms = zs[keep], norms[keep]
-    lhs, obs = _batch_readings(*_reading_matrix(maps), zs)
-    b = np.log(lhs / norms)
-    a = np.log(obs / norms)
-    theta = 1.0 - THETA_STEP
-    constant = float(np.exp(np.max(b - theta * a)))
-    return ObservabilityReport(
-        k=k, constant=constant, method="sampled-fit", theta=theta
-    )
 
 
 @functools.lru_cache(maxsize=SAMPLE_TABLES)
@@ -395,7 +318,7 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
         raise ValueError("horizon k must be at least 1")
     check_cycle(system, sched)
     pm = min(PROBE_MODES, system.domain.modes)
-    maps = _reading_maps(system, sched, k, k, pm)
+    maps = _reading_maps(system, sched, k, pm)
     _, F0T, _, S, _ = maps
     # v is unobserved when every Q_nu(j)^T exp(P^T (T - t_j)) v vanishes, an
     # orthogonality to S; the Gram weighting cannot rescue it because each
@@ -428,8 +351,13 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
         return np.fmax(needed / obs, 0.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the value is scale-invariant: score the raw samples, normalize the best
-        lhs, obs = _batch_readings(W, cuts, Z)
+        # the value is scale-invariant: score the raw samples, normalize the
+        # best; the rows of W^T Z^T are the segments, the adjoint flow's
+        # first, then k readings of equal width, so each sum is over whole rows
+        img = W.T @ Z.T
+        np.square(img, out=img)
+        lhs = np.sqrt(img[: cuts[1]].sum(axis=0))
+        obs = np.sqrt(img[cuts[1] :].reshape(k, -1, len(Z)).sum(axis=1)).sum(axis=0)
         best_idx = int(np.fmax((lhs - delta * norms) / obs, 0.0).argmax())
         best = Z[best_idx] / norms[best_idx]
         base = best @ WI

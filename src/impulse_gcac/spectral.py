@@ -95,8 +95,11 @@ def overlap_matrix(domain, a, b):
     """Gram matrix of the retained modes restricted to the interval (a, b).
 
     Entry [l-1, i-1] is the integral of ``e_l e_i`` over (a, b), from the
-    product-to-sum closed form. For the full interval the matrix is the
-    identity exactly (orthonormality), which is returned without roundoff.
+    product-to-sum closed form. Off the diagonal its two terms depend on
+    l - i and l + i only, so each is evaluated once per difference and per
+    sum and gathered into Toeplitz and Hankel views. For the full interval
+    the matrix is the identity exactly (orthonormality), which is returned
+    without roundoff.
 
     Returns
     -------
@@ -109,17 +112,18 @@ def overlap_matrix(domain, a, b):
     if a == 0.0 and b == domain.length:
         return np.eye(N)
     L = domain.length
-    idx = np.arange(1, N + 1, dtype=float)
-    diff = idx[:, None] - idx[None, :]
-    summ = idx[:, None] + idx[None, :]
+    diff = np.arange(1 - N, N, dtype=float)  # l - i, at index l - i + N - 1
+    summ = np.arange(2, 2 * N + 1, dtype=float)  # l + i, at index l + i - 2
+    window = np.lib.stride_tricks.sliding_window_view
 
     def antiderivative(x):
         with np.errstate(invalid="ignore", divide="ignore"):
-            off = np.sin(diff * math.pi * x / L) / (diff * math.pi / L) - np.sin(
-                summ * math.pi * x / L
-            ) / (summ * math.pi / L)
-        diag = x - np.sin(2.0 * idx * math.pi * x / L) / (2.0 * idx * math.pi / L)
-        np.fill_diagonal(off, diag)
+            by_diff = np.sin(diff * math.pi * x / L) / (diff * math.pi / L)
+        by_summ = np.sin(summ * math.pi * x / L) / (summ * math.pi / L)
+        # row l - 1 of the Toeplitz view is by_diff[l - 1 : l + N - 1] reversed
+        off = window(by_diff, N)[:, ::-1] - window(by_summ, N)
+        # the diagonal's sum term is the Hankel term of l + l
+        np.fill_diagonal(off, x - by_summ[::2])
         return off / L
 
     return antiderivative(b) - antiderivative(a)

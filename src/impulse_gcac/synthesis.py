@@ -20,8 +20,7 @@ full-support synthesizer is a public shell that checks its inputs and
 builds the engine, around a private core that runs on it, so
 `constrained_null_synthesize` runs its phases on one engine and one rank
 search. Every map is posed in the engine's final-time frame, the
-Gramian-ball fallback of mode-1 steering included; only the public
-`gramian_delta` keeps the pull-back form of the paper.
+Gramian-ball fallback of mode-1 steering included.
 """
 
 import math
@@ -30,22 +29,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import (
-    UnreachableTargetError,
-    as_matrix,
-    column_span,
-    min_norm_solve,
-)
+from .linalg import UnreachableTargetError, column_span, min_norm_solve
 from .observability import (
     RankDeficiencyError,
     _dissipative,
-    _pullback_stack,
     _rank_search,
     _spectral_class,
     _spectral_tol,
     finite_obs_constant,
 )
-from .schedule import _check_gains, check_cycle, time_at
+from .schedule import check_cycle, time_at
 from .spectral import (
     NonFiniteStateError,
     Propagators,
@@ -62,7 +55,6 @@ __all__ = [
     "NonFiniteStateError",
     "simulate",
     "project_H1",
-    "gramian_delta",
     "steer_first_mode",
     "decay_horizon",
     "gcac_synthesize",
@@ -95,6 +87,14 @@ def _impulse_norms(U):
     U = np.asarray(U, dtype=float)
     sq = np.einsum("kij,kij->ki", U, U) if U.ndim == 3 else np.square(U)
     return np.sqrt(np.add.reduce(sq, axis=1))
+
+
+def _chunked_norms(impulses):
+    """`_impulse_norms` of a tuple of equal-shape impulses, stacked 16 at a
+    time: a stacked copy of a whole long sequence would raise the peak
+    memory of a synthesis call."""
+    chunks = [_impulse_norms(impulses[i : i + 16]) for i in range(0, len(impulses), 16)]
+    return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
 class HorizonExhaustedError(RuntimeError):
@@ -130,16 +130,21 @@ class ControlSequence:
 
     def __post_init__(self):
         entries = tuple(np.asarray(u, dtype=float) for u in self.impulses)
-        for u in entries:
-            if u.ndim != 2:
+        shaped = next(
+            (j for j, u in enumerate(entries) if u.ndim != 2 or u.shape != entries[0].shape),
+            len(entries),
+        )
+        # a non-finite entry makes its impulse's norm non-finite, and so does
+        # a finite one whose square overflows: only those impulses are scanned
+        norms = _chunked_norms(entries[:shaped])
+        if not all(np.all(np.isfinite(entries[j])) for j in np.flatnonzero(~np.isfinite(norms))):
+            raise ValueError("impulse entries must be finite")
+        if shaped < len(entries):
+            if entries[shaped].ndim != 2:
                 raise ValueError("each impulse must be a 2-D coefficient array")
-            if u.shape != entries[0].shape:
-                raise ValueError("impulses must share one shape")
-            if not np.all(np.isfinite(u)):
-                raise ValueError("impulse entries must be finite")
+            raise ValueError("impulses must share one shape")
         object.__setattr__(self, "impulses", entries)
         if self.constrained:
-            norms = self.norms()
             over = np.flatnonzero(norms > 1.0 + BUDGET_SLACK)
             if over.size:
                 j = int(over[0])
@@ -150,11 +155,7 @@ class ControlSequence:
 
     def norms(self):
         """Array of the impulse norms ``||u_j||``, by `_impulse_norms`."""
-        # stacked 16 impulses at a time: a stacked copy of a whole long
-        # sequence would raise the peak memory of a synthesis call
-        u = self.impulses
-        chunks = [_impulse_norms(u[i : i + 16]) for i in range(0, len(u), 16)]
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        return _chunked_norms(self.impulses)
 
     def max_norm(self):
         """Largest single-impulse norm; 0 for an empty sequence."""
@@ -240,37 +241,6 @@ def project_H1(system, state):
     return v, remainder
 
 
-def gramian_delta(P, gains, sched, k_star, lam1=1.0):
-    """Steering Gramian over k_star impulses and its guaranteed ball radius.
-
-    Returns (M, delta) with
-    ``M = sum_j exp((lam1 I - P) t_j) Q_nu(j) Q_nu(j)^T exp((lam1 I - P^T) t_j)``
-    and ``delta = 1 / (||S|| * ||M^{-1}||)`` in spectral norms, S being the
-    stacked blocks. Every target of norm at most delta is reached exactly
-    by the closed-form controls ``zeta_j = Q_nu(j)^T exp((lam1 I - P^T) t_j)
-    M^{-1} eta``, each of norm at most 1.
-
-    lam1 is the first diffusion eigenvalue of the domain; the default
-    matches an interval of length pi. S is the pull-back stack of
-    `finite_obs_constant` under the generator lam1 I - P; mode-1 steering
-    takes its ball from the final-time stack instead (`_chunked_mode1`).
-    Raises ValueError unless there is one gain per schedule slot.
-    """
-    if k_star < 1:
-        raise ValueError("k_star must be at least 1")
-    P = as_matrix(P)
-    _check_gains(gains, sched)
-    taus = [time_at(sched, j) for j in range(1, k_star + 1)]
-    S = _pullback_stack(lam1 * np.eye(P.shape[0]) - P, gains, taus)
-    span = column_span(S)
-    if span.rank < S.shape[0]:
-        raise ValueError(
-            "steering Gramian is singular: the gain stack does not span all "
-            f"components at horizon {k_star}"
-        )
-    return S @ S.T, span.sigma_n**2 / span.sigma_max
-
-
 def _require_rank(system, sched, k, message):
     """Smallest horizon <= k of full gain-stack rank, from the rank search.
 
@@ -294,13 +264,11 @@ def _spectral_guard(system):
 
 
 def _mode1_controls(system, xi_list):
-    """Wrap mode-1 coefficient vectors as full impulse arrays."""
-    impulses = []
-    for xi in xi_list:
-        u = np.zeros((system.m, system.domain.modes))
-        u[:, 0] = xi
-        impulses.append(u)
-    return impulses
+    """Mode-1 coefficient vectors as full impulse arrays: the rows of one
+    zero (k, m, N) array with the vectors in mode 1."""
+    U = np.zeros((len(xi_list), system.m, system.domain.modes))
+    U[:, :, 0] = xi_list
+    return tuple(U)
 
 
 def _chunked_mode1(props, sched, v, k_max):
@@ -375,14 +343,19 @@ def steer_first_mode(system, sched, v_target, k_max):
     v = np.asarray(v_target, dtype=float).reshape(-1)
     if v.shape[0] != system.n:
         raise ValueError(f"target must have {system.n} components")
-    return _steer_mode1(Propagators(system, sched), sched, v, k_max)
+    x0 = zero_state(system)
+    x0[:, 0] = v
+    return _steer_mode1(Propagators(system, sched), sched, x0, k_max)
 
 
-def _steer_mode1(props, sched, v, k_max):
-    """`steer_first_mode` of a checked target vector v on a prebuilt engine."""
+def _steer_mode1(props, sched, x0, k_max):
+    """`steer_first_mode` of the mode-1 part v of a checked state x0, on a
+    prebuilt engine; the controls are replayed from x0 itself, and mode 1 is
+    checked on column 0 of that replay, the result's final state."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     system = props.system
+    v = x0[:, 0].copy()
     if float(np.linalg.norm(v)) == 0.0:
         return SteeringResult(
             controls=ControlSequence(impulses=()),
@@ -435,9 +408,7 @@ def _steer_mode1(props, sched, v, k_max):
             ) from None
         k_used = len(xi_list)
 
-    controls = ControlSequence(impulses=tuple(_mode1_controls(system, xi_list)))
-    x0 = zero_state(system)
-    x0[:, 0] = v
+    controls = ControlSequence(impulses=_mode1_controls(system, xi_list))
     final = _propagate(props, x0, controls.impulses, k_used)
     mode1 = float(np.linalg.norm(final[:, 0]))
     if mode1 > 1e-9 * float(np.linalg.norm(v)):
@@ -511,13 +482,10 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
 
 def _gcac(props, sched, x0, eps, k_max):
     """`gcac_synthesize` of a validated x0 on a prebuilt engine."""
-    v, _ = project_H1(props.system, x0)
-    controls, k = ControlSequence(impulses=()), 0
-    if float(np.linalg.norm(v)) > 0.0:
-        steer = _steer_mode1(props, sched, v, k_max)
-        controls, k = steer.controls, steer.horizon_k
-
-    final = _propagate(props, x0, controls.impulses, k)
+    controls, k, final = ControlSequence(impulses=()), 0, x0
+    if float(np.linalg.norm(x0[:, 0])) > 0.0:
+        steer = _steer_mode1(props, sched, x0, k_max)
+        controls, k, final = steer.controls, steer.horizon_k, steer.final_state
     while (residual := l2_norm(final)) > eps:
         if k >= k_max:
             raise HorizonExhaustedError(

@@ -15,18 +15,15 @@ from conftest import (
 
 from impulse_gcac import observability
 from impulse_gcac.observability import (
-    RankDeficiencyError,
     compose_obs,
     delta_obs_constant,
     finite_obs_constant,
     hypothesis_verdict,
-    interpolation_estimate,
     kalman_rank,
-    observation_norm,
     rank_condition,
     semigroup_norm,
 )
-from impulse_gcac.schedule import ImpulseSchedule, nu, time_at
+from impulse_gcac.schedule import ImpulseSchedule, time_at
 from impulse_gcac.spectral import NonFiniteStateError, apply_adjoint_semigroup, l2_norm
 
 # ---------------------------------------------------------------------------
@@ -172,62 +169,12 @@ def test_finite_obs_matches_unit_sphere_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# interpolation_estimate
-
-
-def test_interpolation_unobserved_component_raises_with_witness():
-    system = two_component_invariant_system()
-    with pytest.raises(RankDeficiencyError) as err:
-        interpolation_estimate(system, unit_schedule(), k=3, sample_count=200)
-    witness = err.value.witness
-    # the invisible direction is the first component
-    assert abs(witness[0]) == pytest.approx(1.0, rel=1e-9)
-    assert witness[1] == pytest.approx(0.0, abs=1e-9)
-    # and its readings really vanish at every impulse
-    sched = unit_schedule()
-    state = np.zeros((2, system.domain.modes))
-    state[:, 0] = witness
-    for j in range(1, 4):
-        evolved = apply_adjoint_semigroup(system, state, time_at(sched, 4) - j)
-        assert observation_norm(system, nu(sched, j), evolved) <= 1e-12
-
-
-def test_interpolation_full_observation_hits_theta_cap():
-    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=16)
-    report = interpolation_estimate(system, unit_schedule(), k=2, sample_count=500)
-    assert report.method == "sampled-fit"
-    assert report.theta == pytest.approx(0.99)
-    assert 0.0 < report.constant < math.inf
-    assert report.k == 2
-
-
-def test_interpolation_inequality_holds_on_fresh_samples():
-    coupling = np.array([[0.0, 0.3], [-0.3, 0.0]])
-    system = make_system(coupling, [np.eye(2), np.eye(2)], modes=12)
-    sched = ImpulseSchedule((0.5, 1.0))
-    report = interpolation_estimate(system, sched, k=2, sample_count=2000, seed=5)
-    rng = np.random.default_rng(99)
-    t_next = time_at(sched, 3)
-    # the fitted constant is an empirical max, so fresh draws get 5% headroom
-    for _ in range(200):
-        z = rng.standard_normal((2, 12))
-        lhs = l2_norm(apply_adjoint_semigroup(system, z, t_next))
-        obs = _observation_sum(system, sched, z, 2, t_next)
-        bound = report.constant * obs**report.theta * l2_norm(z) ** (1 - report.theta)
-        assert lhs <= bound * 1.05
-
-
-def test_interpolation_requires_enough_samples():
-    system = make_system(np.zeros((1, 1)), [np.eye(1)], modes=4)
-    with pytest.raises(ValueError):
-        interpolation_estimate(system, unit_schedule(), k=1, sample_count=50)
+# cycle checks
 
 
 def test_cycle_mismatch_is_rejected():
     system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=4)
     two_slot = ImpulseSchedule((0.5, 1.0))
-    with pytest.raises(ValueError, match="controllers"):
-        interpolation_estimate(system, two_slot, k=2, sample_count=200)
     with pytest.raises(ValueError, match="controllers"):
         delta_obs_constant(system, two_slot, k=2, delta=0.5)
     with pytest.raises(ValueError, match="controllers"):

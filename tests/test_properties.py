@@ -21,7 +21,6 @@ from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, 
 from impulse_gcac.observability import (
     RankDeficiencyError,
     PROBE_MODES,
-    _batch_readings,
     _rank_search,
     _reading_maps,
     _reading_matrix,
@@ -45,7 +44,6 @@ from impulse_gcac.synthesis import (
     _null_equations,
     constrained_null_synthesize,
     gcac_synthesize,
-    gramian_delta,
     local_gcac_synthesize,
     null_steer,
     simulate,
@@ -348,21 +346,21 @@ def test_local_synthesis_on_cut_models_returns_its_replay(case, norm, frac):
         ImpulseSchedule(base_times=(0.07, 0.2)),
     ),
     k=5,
-    ahead=1,
     p=4,
 )
-@given(strict_systems(local=True), st.integers(1, 12), st.integers(0, 1), st.integers(1, 6))
-def test_stacked_readings_match_the_per_impulse_oracle(case, k, ahead, p):
-    # final = k reads at t_k (delta_obs_constant), final = k + 1 at t_{k+1}
-    # (interpolation_estimate); states on p <= N modes are zero-padded
+@given(strict_systems(local=True), st.integers(1, 12), st.integers(1, 6))
+def test_stacked_readings_match_the_per_impulse_oracle(case, k, p):
+    # the segments of z @ W, read at t_k as delta_obs_constant reads them:
+    # states on p <= N modes are zero-padded
     system, sched = case
-    final = k + ahead
-    maps = _reading_maps(system, sched, k, final, p)
+    W, cuts = _reading_matrix(_reading_maps(system, sched, k, p))
     rng = np.random.default_rng(k + p)
     Z = rng.standard_normal((3, system.n, p))
-    lhs, obs = _batch_readings(*_reading_matrix(maps), Z.reshape(3, -1))
-    T = time_at(sched, final)
-    for z, got_lhs, got_obs in zip(Z, lhs, obs):
+    T = time_at(sched, k)
+    for z in Z:
+        segments = np.split(z.reshape(-1) @ W, cuts[1:])
+        got_lhs = np.linalg.norm(segments[0])
+        got_obs = sum(np.linalg.norm(seg) for seg in segments[1:])
         padded = zero_state(system)
         padded[:, :p] = z
         want_lhs = l2_norm(apply_adjoint_semigroup(system, padded, T))
@@ -764,11 +762,6 @@ def test_gramian_constant_is_infinite_exactly_below_full_rank(case, k):
     raw = np.hstack([direct_block(P, gains, sched, j) for j in range(1, k + 1)])
     deficient = numerical_rank(raw) < P.shape[0]
     assert math.isinf(finite_obs_constant(P, gains, taus).constant) == deficient
-    if deficient:
-        with pytest.raises(ValueError, match="singular"):
-            gramian_delta(P, gains, sched, k, lam1=0.0)
-    else:
-        assert gramian_delta(P, gains, sched, k, lam1=0.0)[1] > 0.0
 
 
 @given(rank_cases())
@@ -860,16 +853,15 @@ def test_rank_failures_carry_a_witness_orthogonal_to_every_block(case, k, which)
         assert np.linalg.norm(w @ B) <= 1e-8 * np.linalg.norm(B)
 
 
-@given(rank_cases(), st.integers(1, 6), st.integers(0, 1))
-def test_unobserved_directions_are_orthogonal_to_every_block(case, k, ahead):
+@given(rank_cases(), st.integers(1, 6))
+def test_unobserved_directions_are_orthogonal_to_every_block(case, k):
     P, gains, sched = case
     system = make_system(P, gains, modes=6)
-    final = k + ahead
-    S = _reading_maps(system, sched, k, final, 6)[3]
+    S = _reading_maps(system, sched, k, 6)[3]
     null = column_span(S).null
     shifted = P - LAM1 * np.eye(system.n)
     for j in range(1, k + 1):
-        tau = time_at(sched, final) - time_at(sched, j)
+        tau = time_at(sched, k) - time_at(sched, j)
         B = mat_exp(shifted, tau) @ gains[nu(sched, j) - 1]
         assert np.linalg.norm(null.T @ B) <= 1e-8 * np.linalg.norm(B)
 

@@ -96,6 +96,32 @@ def test_overlap_truncation_leakage_shrinks_like_one_over_modes():
     assert leak64 <= 0.65 * leak32
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 32, 128, 512])
+@pytest.mark.parametrize("length", [math.pi, 1.0, 2.7])
+def test_overlap_matches_the_entrywise_closed_form_exactly(N, length):
+    # the closed form evaluated on the full N x N index grids, each entry
+    # by the same expression as the Toeplitz and Hankel parts use
+    idx = np.arange(1, N + 1, dtype=float)
+    diff = idx[:, None] - idx[None, :]
+    summ = idx[:, None] + idx[None, :]
+    L = length
+
+    def antiderivative(x):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            off = np.sin(diff * math.pi * x / L) / (diff * math.pi / L) - np.sin(
+                summ * math.pi * x / L
+            ) / (summ * math.pi / L)
+        diag = x - np.sin(2.0 * idx * math.pi * x / L) / (2.0 * idx * math.pi / L)
+        np.fill_diagonal(off, diag)
+        return off / L
+
+    domain = SpectralDomain(length=L, modes=N)
+    for a, b in ((0.0, 0.3 * L), (0.1 * L, 0.77 * L), (0.5 * L, L), (0.0, 0.999 * L)):
+        G = overlap_matrix(domain, a, b)
+        assert np.array_equal(G, antiderivative(b) - antiderivative(a))
+        assert G.flags.c_contiguous and G.flags.writeable
+
+
 def test_overlap_rejects_bad_interval():
     domain = SpectralDomain(length=1.0, modes=4)
     with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ from impulse_gcac.synthesis import (
     constrained_null_synthesize,
     decay_horizon,
     gcac_synthesize,
-    gramian_delta,
     local_gcac_synthesize,
     null_steer,
     project_H1,
@@ -96,6 +95,28 @@ def test_control_sequence_rejects_ragged_impulses():
         ControlSequence(impulses=(np.zeros((1, 4)), np.zeros((2, 4))))
     with pytest.raises(ValueError, match="2-D"):
         ControlSequence(impulses=(np.zeros(4),))
+
+
+def test_control_sequence_tells_non_finite_entries_from_overflowing_norms():
+    # finiteness is read from the impulse norms; only a non-finite norm
+    # sends its impulse's entries to be scanned
+    ok = np.full((1, 4), 0.25)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = ok.copy()
+        u[0, 2] = bad
+        for constrained in (True, False):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                ControlSequence(impulses=(ok, u, ok), constrained=constrained)
+    # the entry error still comes before a later impulse's shape error
+    with pytest.raises(ValueError, match="entries must be finite"):
+        ControlSequence(impulses=(u, np.zeros((2, 4))))
+    # finite entries whose norm overflows: over budget, or accepted unconstrained
+    huge = np.full((1, 4), 1e200)
+    with pytest.raises(ValueError, match="impulse 2 has norm inf, over budget 1"):
+        ControlSequence(impulses=(ok, huge))
+    loose = ControlSequence(impulses=(ok, huge), constrained=False)
+    assert loose.norms()[1] == math.inf
+    assert np.array_equal(loose.impulses[1], huge)
 
 
 def test_simulate_zero_controls_is_the_free_flow():
@@ -182,64 +203,22 @@ def test_project_H1_splits_and_recombines_exactly():
 # --- Gramian ball ---
 
 
-def test_gramian_delta_identity_blocks():
-    # one impulse, coupling equal to lambda_1 times identity: M = I, delta = 1
-    M, delta = gramian_delta(np.eye(2), [np.eye(2)], unit_schedule(), 1)
-    assert np.array_equal(M, np.eye(2))
-    assert delta == 1.0
-
-
-def test_gramian_delta_rejects_rank_deficient_stack():
-    with pytest.raises(ValueError, match="singular"):
-        gramian_delta(np.eye(2), [np.array([[0.0], [1.0]])], unit_schedule(), 1)
-
-
-def test_gramian_delta_rejects_an_empty_horizon():
-    with pytest.raises(ValueError, match="k_star must be at least 1"):
-        gramian_delta(np.eye(2), [np.eye(2)], unit_schedule(), 0)
-
-
-def test_gramian_delta_needs_one_gain_per_slot():
-    e1 = np.array([[1.0], [0.0]])
-    with pytest.raises(ValueError, match="2 impulse slots but got 1 gains"):
-        gramian_delta(np.eye(2), [e1], ImpulseSchedule((0.5, 1.0)), 4)
-    with pytest.raises(ValueError, match="1 impulse slots but got 2 gains"):
-        gramian_delta(np.eye(2), [np.eye(2), np.eye(2)], unit_schedule(), 1)
-
-
-def test_gramian_delta_two_impulses():
-    # blocks stay the identity at both times, so M = 2I and the ball radius
-    # is smin^2/smax = 2/sqrt(2)
-    M, delta = gramian_delta(np.eye(2), [np.eye(2)], unit_schedule(), 2)
-    assert np.allclose(M, 2.0 * np.eye(2), rtol=1e-14, atol=1e-14)
-    assert delta == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_gramian_delta_matches_eigenvalue_oracle():
-    # oracle: delta = lambda_min(M) / sqrt(lambda_max(M)), computed from the
-    # assembled Gramian, against the implementation's singular value route
-    rng = np.random.default_rng(29)
-    sched = unit_schedule()
-    for _ in range(10):
-        n = int(rng.integers(2, 4))
-        P = 0.4 * rng.standard_normal((n, n))
-        Q = rng.standard_normal((n, n))
-        M, delta = gramian_delta(P, [Q], sched, 3, lam1=1.0)
-        w = np.linalg.eigvalsh(M)
-        assert delta == pytest.approx(w[0] / math.sqrt(w[-1]), rel=1e-9)
-
-
 def test_gramian_ball_targets_are_reached_with_unit_controls():
-    # closed-form controls for a target on the delta-sphere: each impulse
-    # stays in the unit ball and the blocks reassemble the target exactly
+    # closed-form controls for a target on the delta-sphere, with
+    # M = S S^T and delta = sigma_n^2 / sigma_max of the pull-back stack S:
+    # each impulse stays in the unit ball and the blocks reassemble the
+    # target exactly
     rng = np.random.default_rng(31)
     sched = unit_schedule()
     for trial in range(8):
         n = int(rng.integers(2, 4))
         P = 0.3 * rng.standard_normal((n, n))
         Q = rng.standard_normal((n, n))
-        M, delta = gramian_delta(P, [Q], sched, 2, lam1=1.0)
         blocks = [mat_exp(np.eye(n) - P, time_at(sched, j)) @ Q for j in (1, 2)]
+        S = np.hstack(blocks)
+        M = S @ S.T
+        sigma = np.linalg.svd(S, compute_uv=False)
+        delta = sigma[-1] ** 2 / sigma[0]
         eta = rng.standard_normal(n)
         eta *= delta / np.linalg.norm(eta)
         factor = np.linalg.solve(M, eta)
@@ -317,7 +296,9 @@ def test_steer_first_mode_is_bitwise_the_same_on_a_warm_engine(hbar):
             warm_props = Propagators(system, sched)
             for K in range(k_max - hbar + 1, k_max + 1):
                 warm_props.gain_stack(K)
-            warm = synthesis._steer_mode1(warm_props, sched, v, k_max)
+            x0 = zero_state(system)
+            x0[:, 0] = v
+            warm = synthesis._steer_mode1(warm_props, sched, x0, k_max)
             k = cold.horizon_k
             assert warm.horizon_k == k
             F0, S = Propagators(system, sched).gain_stack(k)

@@ -8,7 +8,9 @@ and, for trajectory-producing tasks, ``trajectory.csv``.
 
 Exit codes: 0 for success (honest negative verdicts included), 2 for an
 honest synthesis failure, 1 for input or precondition errors.  Every
-failure carries a machine-readable code.  Reports embed the fully
+failure carries a machine-readable code; `_FAILURES` is the one statement
+of which library failure gets which code and exit code.  `_TASKS` maps
+each task to its handler and its summary line.  Reports embed the fully
 resolved scenario, so re-running a report file reproduces the run, and
 CSV floats are written with shortest round-trip formatting so the rerun
 is bit-identical.
@@ -19,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from .spectral import (
     Controller,
     CoupledSystem,
     SpectralDomain,
-    l2_norm,
     random_state,
     zero_state,
 )
@@ -53,16 +54,6 @@ from .synthesis import (
 from .witness import InapplicableCertificateError, negative_bound
 
 __all__ = ["Scenario", "ScenarioError", "bundled_scenario", "load_scenario", "run", "main"]
-
-TASKS = (
-    "check",
-    "observability",
-    "synthesize-gcac",
-    "synthesize-null",
-    "synthesize-local",
-    "witness",
-    "simulate",
-)
 
 REPORT_NAME = "report.json"
 TRAJECTORY_NAME = "trajectory.csv"
@@ -369,11 +360,10 @@ def load_scenario(path, task=None, seed=None, modes=None, k_max=None):
         params["k_max"] = _as_int(k_max, "--k-max", minimum=1)
 
     file_task = doc.get("task")
-    if file_task is not None and file_task not in TASKS:
-        _fail("invariant-violation", "task", f"unknown task {file_task!r}")
+    for name in (file_task, task):
+        if name is not None and name not in _TASKS:
+            _fail("invariant-violation", "task", f"unknown task {name!r}")
     resolved_task = task if task is not None else file_task
-    if resolved_task is not None and resolved_task not in TASKS:
-        _fail("invariant-violation", "task", f"unknown task {resolved_task!r}")
 
     if initial is not None and "random_norm" in initial and "seed" not in params:
         _fail("invariant-violation", "parameters.seed", "required when the initial state is sampled")
@@ -433,10 +423,6 @@ def _initial_state(scenario):
     return x0
 
 
-def _method_label(method):
-    return "sampled-fit" if method == "sampled-fit" else "certified"
-
-
 def _rows(scenario, x0, controls, k):
     # the norms come from simulate's own loop, so the last row reproduces
     # a synthesized residual bit for bit; the control norms are the
@@ -458,21 +444,13 @@ def _steering_summary(result):
         "impulse_count": len(result.controls),
         "max_control_norm": result.controls.max_norm(),
         "total_control_l2": result.controls.l2_total(),
-        "final_state_norm": l2_norm(result.final_state),
+        "final_state_norm": result.residual,
     }
 
 
 def _task_check(scenario):
     verdict = hypothesis_verdict(scenario.system, scenario.sched, _k_max(scenario))
-    result = {
-        "rank_ok": bool(verdict.rank_ok),
-        "k_star": verdict.k_star,
-        "kalman_ok": bool(verdict.kalman_ok),
-        "spectral": verdict.spectral,
-        "dissipative": bool(verdict.dissipative),
-        "omega_full": bool(verdict.omega_full),
-    }
-    return result, [], None
+    return asdict(verdict), [], None
 
 
 def _task_observability(scenario):
@@ -483,19 +461,19 @@ def _task_observability(scenario):
     k_eval = scenario.parameters.get("k_star", found if ok else sched.hbar)
     result["k_evaluated"] = k_eval
 
-    def record(name, report, **extra):
+    def record(name, report, method, **extra):
         # the result says whether the constant is finite; only a finite one is listed
         finite = math.isfinite(report.constant)
         result[f"{name}_finite"] = finite
         if finite:
             constants.append(
-                {"name": name, "k": k_eval, **extra, "value": report.constant,
-                 "method": _method_label(report.method)}
+                {"name": name, "k": k_eval, **extra, "value": report.constant, "method": method}
             )
 
     if ok or "k_star" in scenario.parameters:
         taus = [time_at(sched, j) for j in range(1, k_eval + 1)]
-        record("observability_constant", finite_obs_constant(system.coupling, system.gains, taus))
+        record("observability_constant",
+               finite_obs_constant(system.coupling, system.gains, taus), "certified")
     if "delta" in scenario.parameters:
         if "seed" not in scenario.parameters:
             raise ScenarioError(
@@ -504,7 +482,7 @@ def _task_observability(scenario):
         delta = scenario.parameters["delta"]
         seed = scenario.parameters["seed"]
         record("delta_constant", delta_obs_constant(system, sched, k_eval, delta, seed=seed),
-               delta=delta)
+               "sampled-fit", delta=delta)
     return result, constants, None
 
 
@@ -567,9 +545,7 @@ def _task_witness(scenario):
 
 def _task_simulate(scenario):
     x0 = _initial_state(scenario)
-    k = scenario.parameters.get("horizon")
-    if k is None:
-        raise ScenarioError("invariant-violation", "parameters.horizon: required by task simulate")
+    k = _need(scenario, "horizon")
     controls = ControlSequence(impulses=scenario.controls, constrained=False)
     rows = _rows(scenario, x0, controls, k)
     result = {
@@ -581,15 +557,34 @@ def _task_simulate(scenario):
     return result, [], rows
 
 
-_HANDLERS = {
-    "check": _task_check,
-    "observability": _task_observability,
-    "synthesize-gcac": _task_gcac,
-    "synthesize-null": _task_null,
-    "synthesize-local": _task_local,
-    "witness": _task_witness,
-    "simulate": _task_simulate,
+_STEERING_LINE = "horizon_k={horizon_k} residual={residual:.6e} certificate={certificate}"
+
+# each task's handler and its summary line, a format string of the result
+_TASKS = {
+    "check": (
+        _task_check,
+        "rank_ok={rank_ok} kalman_ok={kalman_ok} spectral={spectral} dissipative={dissipative}",
+    ),
+    "observability": (_task_observability, "rank_ok={rank_ok} k_star={k_star}"),
+    "synthesize-gcac": (_task_gcac, _STEERING_LINE),
+    "synthesize-null": (_task_null, _STEERING_LINE),
+    "synthesize-local": (_task_local, _STEERING_LINE),
+    "witness": (_task_witness, "case={case} threshold_ell={threshold_ell!r}"),
+    "simulate": (_task_simulate, "horizon_k={horizon_k} final_norm={final_state_norm:.6e}"),
 }
+TASKS = tuple(_TASKS)
+
+# the exit-code policy: each library failure a run reports, subclasses
+# before their bases, with its error code and exit code; a ScenarioError
+# is an input error and propagates, as does any exception not listed
+_FAILURES = (
+    (InapplicableCertificateError, "witness-inapplicable", 1),
+    (RankDeficiencyError, "rank-deficient", 1),
+    (HorizonExhaustedError, "horizon-exhausted", 2),
+    (NonFiniteStateError, "non-finite-state", 1),
+    (ValueError, "precondition-failed", 1),
+    (RuntimeError, "synthesis-failed", 2),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +637,9 @@ def run(scenario, out_dir=None):
     Returns ``(exit_code, report)``.  The report always embeds the
     resolved scenario, schedule, truncation order, and seed; successful
     runs add the task result and the list of constants, each labeled
-    certified or sampled-fit.  Dispatch failures are recorded in the
-    report under "error" with a machine-readable code: precondition
-    problems exit 1, honest synthesis failures exit 2.
+    certified or sampled-fit.  Library failures listed in `_FAILURES` are
+    recorded in the report under "error" with that table's code and exit
+    code; any other exception propagates.
     """
     if scenario.task is None:
         raise ScenarioError("invariant-violation", "task: required (give it on the command line)")
@@ -664,61 +659,22 @@ def run(scenario, out_dir=None):
     code = 0
     rows = None
     try:
-        result, constants, rows = _HANDLERS[scenario.task](scenario)
+        result, constants, rows = _TASKS[scenario.task][0](scenario)
         report["result"] = result
         report["constants"] = constants
         # a returned failed-* certificate is an honest synthesis failure
         if str(result.get("certificate", "")).startswith("failed"):
             code = 2
-    except InapplicableCertificateError as err:
-        report["error"] = {"code": "witness-inapplicable", "message": str(err)}
-        code = 1
-    except RankDeficiencyError as err:
-        report["error"] = {"code": "rank-deficient", "message": str(err)}
-        code = 1
-    except HorizonExhaustedError as err:
-        report["error"] = {"code": "horizon-exhausted", "message": str(err)}
-        code = 2
-    except NonFiniteStateError as err:
-        report["error"] = {"code": "non-finite-state", "message": str(err)}
-        code = 1
     except ScenarioError:
         raise
-    except ValueError as err:
-        report["error"] = {"code": "precondition-failed", "message": str(err)}
-        code = 1
-    except RuntimeError as err:
-        report["error"] = {"code": "synthesis-failed", "message": str(err)}
-        code = 2
+    except tuple(kind for kind, _, _ in _FAILURES) as err:
+        name, code = next((n, c) for kind, n, c in _FAILURES if isinstance(err, kind))
+        report["error"] = {"code": name, "message": str(err)}
     if rows is not None:
         _write_trajectory(out, rows, scenario.system.domain.modes)
         report["files"] = {"trajectory": TRAJECTORY_NAME}
     _write_report(out, report)
     return code, report
-
-
-def _summary_line(report, out):
-    task = report["task"]
-    if "error" in report:
-        return f"{task}: {report['error']['code']}: {report['error']['message']}"
-    result = report["result"]
-    if task == "check":
-        body = (
-            f"rank_ok={result['rank_ok']} kalman_ok={result['kalman_ok']} "
-            f"spectral={result['spectral']} dissipative={result['dissipative']}"
-        )
-    elif task == "observability":
-        body = f"rank_ok={result['rank_ok']} k_star={result['k_star']}"
-    elif task == "witness":
-        body = f"case={result['case']} threshold_ell={result['threshold_ell']!r}"
-    elif task == "simulate":
-        body = f"horizon_k={result['horizon_k']} final_norm={result['final_state_norm']:.6e}"
-    else:
-        body = (
-            f"horizon_k={result['horizon_k']} residual={result['residual']:.6e} "
-            f"certificate={result['certificate']}"
-        )
-    return f"{task}: {body} (report: {out / REPORT_NAME})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -758,7 +714,8 @@ def main(argv=None):
     if "error" in report:
         print(json.dumps({"error": report["error"]}), file=sys.stderr)
     else:
-        print(_summary_line(report, out))
+        body = _TASKS[scenario.task][1].format(**report["result"])
+        print(f"{scenario.task}: {body} (report: {out / REPORT_NAME})")
     return code
 
 

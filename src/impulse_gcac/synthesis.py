@@ -24,7 +24,7 @@ Gramian-ball fallback of mode-1 steering included.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -123,10 +123,14 @@ class ControlSequence:
         lies in the unit ball ``||u_j|| <= 1``, the constraint set of the
         problem. Unconstrained sequences carry controls whose only
         guarantee is an aggregate l2 bound.
+
+    The impulse norms the construction checks are kept, read-only, and
+    every norm accessor reads them.
     """
 
     impulses: tuple
     constrained: bool = True
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(np.asarray(u, dtype=float) for u in self.impulses)
@@ -143,7 +147,9 @@ class ControlSequence:
             if entries[shaped].ndim != 2:
                 raise ValueError("each impulse must be a 2-D coefficient array")
             raise ValueError("impulses must share one shape")
+        norms.setflags(write=False)
         object.__setattr__(self, "impulses", entries)
+        object.__setattr__(self, "_norms", norms)
         if self.constrained:
             over = np.flatnonzero(norms > 1.0 + BUDGET_SLACK)
             if over.size:
@@ -154,35 +160,39 @@ class ControlSequence:
         return len(self.impulses)
 
     def norms(self):
-        """Array of the impulse norms ``||u_j||``, by `_impulse_norms`."""
-        return _chunked_norms(self.impulses)
+        """Read-only array of the impulse norms ``||u_j||``, by `_impulse_norms`."""
+        return self._norms
 
     def max_norm(self):
         """Largest single-impulse norm; 0 for an empty sequence."""
-        return float(self.norms().max(initial=0.0))
+        return float(self._norms.max(initial=0.0))
 
     def l2_total(self):
         """Aggregate l2 norm sqrt(sum_j ||u_j||^2)."""
-        return math.sqrt(sum(float(x) ** 2 for x in self.norms()))
+        return math.sqrt(sum(float(x) ** 2 for x in self._norms))
 
 
 @dataclass(frozen=True)
 class SteeringResult:
     """Outcome of one synthesis run.
 
-    residual is always ``l2_norm(final_state)`` with final_state produced
-    by `simulate`, so an independent replay reproduces it. certificate is
-    'exact' for steering that hits the target in the model, 'epsilon-ball'
-    for approximate steering, and 'failed-horizon-exhausted' when the
-    search ran out of impulses (reported, never hidden).
+    residual is derived, not passed: construction sets it to
+    ``l2_norm(final_state)``, and every synthesizer produces final_state
+    by the loop of `simulate`, so an independent replay reproduces it.
+    certificate is 'exact' for steering that hits the target in the model,
+    'epsilon-ball' for approximate steering, and 'failed-horizon-exhausted'
+    when the search ran out of impulses (reported, never hidden).
     """
 
     controls: ControlSequence
     horizon_k: int
     final_state: np.ndarray
-    residual: float
+    residual: float = field(init=False)
     certificate: str
     details: Optional[dict] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "residual", l2_norm(self.final_state))
 
 
 def simulate(system, sched, x0, controls, k, norms=False):
@@ -361,7 +371,6 @@ def _steer_mode1(props, sched, x0, k_max):
             controls=ControlSequence(impulses=()),
             horizon_k=0,
             final_state=zero_state(system),
-            residual=0.0,
             certificate="exact",
         )
 
@@ -419,9 +428,7 @@ def _steer_mode1(props, sched, x0, k_max):
         controls=controls,
         horizon_k=k_used,
         final_state=final,
-        residual=l2_norm(final),
         certificate="exact",
-        details={"smallest_sup_norm": min(best_sup, controls.max_norm())},
     )
 
 
@@ -497,7 +504,6 @@ def _gcac(props, sched, x0, eps, k_max):
         controls=controls,
         horizon_k=k,
         final_state=final,
-        residual=residual,
         certificate="epsilon-ball",
     )
 
@@ -556,7 +562,6 @@ def _null_steer(props, x0, k_star):
         controls=controls,
         horizon_k=k_star,
         final_state=final,
-        residual=l2_norm(final),
         certificate="exact",
     )
 
@@ -637,7 +642,6 @@ def constrained_null_synthesize(system, sched, x0, k_max):
         controls=controls,
         horizon_k=boundary + k_star,
         final_state=tail.final_state,
-        residual=tail.residual,
         certificate="exact",
         details={"ball_radius": eps, "period_bound": M, "obs_constant": C},
     )
@@ -879,7 +883,6 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
             controls=ControlSequence(impulses=()),
             horizon_k=0,
             final_state=x0,
-            residual=l2_norm(x0),
             certificate="epsilon-ball",
         )
 
@@ -912,7 +915,6 @@ def local_gcac_synthesize(system, sched, x0, eps, k_max):
         controls=ControlSequence(impulses=tuple(best_u)),
         horizon_k=best_k,
         final_state=final,
-        residual=best_res,
         certificate=certificate,
         details={
             "iterations": iterations,

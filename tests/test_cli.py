@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import impulse_gcac
+from impulse_gcac import cli
 from impulse_gcac.cli import (
     Scenario,
     ScenarioError,
@@ -19,9 +20,11 @@ from impulse_gcac.cli import (
     main,
     run,
 )
+from impulse_gcac.observability import RankDeficiencyError
 from impulse_gcac.schedule import time_at
-from impulse_gcac.spectral import l2_norm, zero_state
-from impulse_gcac.synthesis import ControlSequence, simulate
+from impulse_gcac.spectral import NonFiniteStateError, l2_norm, zero_state
+from impulse_gcac.synthesis import ControlSequence, HorizonExhaustedError, simulate
+from impulse_gcac.witness import InapplicableCertificateError
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -371,6 +374,60 @@ def test_simulate_overflow_exits_one_with_non_finite_state(tmp_path):
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["error"]["code"] == "non-finite-state"
+
+
+def test_gcac_on_a_local_support_is_a_failed_precondition(tmp_path):
+    doc = full_support_doc()
+    doc["system"]["controllers"][0]["support"] = [0.0, 1.0]
+    path = write_scenario(tmp_path, doc)
+    code = main(["synthesize-gcac", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error"]["code"] == "precondition-failed"
+
+
+def test_output_path_naming_a_file_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    scenario = str(bundled_scenario("appendix_c.json"))
+    assert main(["check", "--scenario", scenario, "--out", str(taken)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "io-error"
+
+
+def _failing_check(monkeypatch, err):
+    def verdict(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(cli, "hypothesis_verdict", verdict)
+    return load_scenario(bundled_scenario("appendix_c.json"), task="check")
+
+
+@pytest.mark.parametrize(
+    "err, name, exit_code",
+    [
+        (RankDeficiencyError("no rank", witness=None), "rank-deficient", 1),
+        (InapplicableCertificateError("no witness"), "witness-inapplicable", 1),
+        (HorizonExhaustedError("no horizon"), "horizon-exhausted", 2),
+        (NonFiniteStateError("overflow"), "non-finite-state", 1),
+        (ValueError("bad input"), "precondition-failed", 1),
+        (RuntimeError("no solution"), "synthesis-failed", 2),
+    ],
+)
+def test_each_library_failure_gets_its_own_code(tmp_path, monkeypatch, err, name, exit_code):
+    # a subclass's code wins over the code of its ValueError or RuntimeError base
+    code, report = run(_failing_check(monkeypatch, err), out_dir=tmp_path)
+    assert code == exit_code
+    assert report["error"] == {"code": name, "message": str(err)}
+
+
+@pytest.mark.parametrize(
+    "err", [ZeroDivisionError("unlisted"), ScenarioError("invariant-violation", "input")]
+)
+def test_unlisted_failures_propagate_from_run(tmp_path, monkeypatch, err):
+    with pytest.raises(type(err)):
+        run(_failing_check(monkeypatch, err), out_dir=tmp_path)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_running_the_cli_module_prints_no_runtime_warning(tmp_path):

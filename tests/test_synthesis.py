@@ -65,6 +65,21 @@ def test_control_sequence_checks_budget():
     assert loose.l2_total() == pytest.approx(1.8)
 
 
+@pytest.mark.parametrize("k", [0, 1, 17, 40])
+def test_control_sequence_keeps_the_norms_it_checked(k):
+    # the norms checked at construction are the ones every accessor reads
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=9)
+    controls = random_controls(system, k, np.random.default_rng(k))
+    norms = controls.norms()
+    assert not norms.flags.writeable
+    with pytest.raises(ValueError):
+        norms[...] = 0.0
+    expected = _impulse_norms(np.array(controls.impulses).reshape(k, 2, 9))
+    assert np.array_equal(norms, expected)
+    assert controls.max_norm() == float(expected.max(initial=0.0))
+    assert controls.l2_total() == math.sqrt(sum(float(x) ** 2 for x in expected))
+
+
 @pytest.mark.parametrize("m", [1, 3, 5])
 @pytest.mark.parametrize("modes", [7, 9, 32])
 def test_mode1_and_padded_impulse_norms_agree_to_the_last_bit(m, modes):

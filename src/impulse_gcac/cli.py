@@ -631,6 +631,10 @@ def _write_trajectory(out_dir, rows, modes):
         raise ScenarioError("io-error", f"{out_dir / TRAJECTORY_NAME}: {err}") from None
 
 
+def _out_dir(scenario, out_dir):
+    return Path(out_dir) if out_dir is not None else Path(scenario.parameters.get("out", "."))
+
+
 def run(scenario, out_dir=None):
     """Execute a scenario's task and write its artifacts.
 
@@ -643,7 +647,7 @@ def run(scenario, out_dir=None):
     """
     if scenario.task is None:
         raise ScenarioError("invariant-violation", "task: required (give it on the command line)")
-    out = Path(out_dir) if out_dir is not None else Path(scenario.parameters.get("out", "."))
+    out = _out_dir(scenario, out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -710,12 +714,11 @@ def main(argv=None):
     except ScenarioError as err:
         print(json.dumps({"error": {"code": err.code, "message": str(err)}}), file=sys.stderr)
         return 1
-    out = Path(args.out) if args.out is not None else Path(scenario.parameters.get("out", "."))
     if "error" in report:
         print(json.dumps({"error": report["error"]}), file=sys.stderr)
     else:
         body = _TASKS[scenario.task][1].format(**report["result"])
-        print(f"{scenario.task}: {body} (report: {out / REPORT_NAME})")
+        print(f"{scenario.task}: {body} (report: {_out_dir(scenario, args.out) / REPORT_NAME})")
     return code
 
 

@@ -63,7 +63,7 @@ def as_matrix(a, rows=None, cols=None):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if rows is not None and m.shape[0] != rows:
         raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
@@ -243,14 +243,15 @@ def min_norm_solve(A, b, require_exact=False, tol=RANK_TOL):
     """
     A = as_matrix(A)
     b = np.asarray(b, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A has {A.shape[0]} rows, b has {b.shape[0]}")
     x, _, _, _ = np.linalg.lstsq(A, b, rcond=tol)
     if require_exact:
-        residual = float(np.linalg.norm(A @ x - b))
-        bound = tol * float(np.linalg.norm(b))
+        r = A @ x - b  # both norms as `np.linalg.norm` reduces them
+        residual = math.sqrt(r.dot(r))
+        bound = tol * math.sqrt(b.dot(b))
         if residual > bound:
             raise UnreachableTargetError(
                 f"target unreachable: residual {residual:.3e} exceeds {bound:.3e}"

@@ -247,7 +247,7 @@ def _check_state(system, state):
         raise ValueError(
             f"state must have shape ({system.n}, {system.domain.modes}), got {st.shape}"
         )
-    if not np.all(np.isfinite(st)):
+    if not np.isfinite(st).all():
         raise ValueError("state entries must be finite")
     return st
 
@@ -274,7 +274,7 @@ def _flow(system, state, t, adjoint):
     E, decay = _shifted_flow(system, t, adjoint)
     with np.errstate(over="ignore", invalid="ignore"):
         out = (E @ st) * decay[None, :]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteStateError(f"the flow over t = {t} overflowed")
     return out
 
@@ -341,7 +341,7 @@ class Propagators:
     synthesis and the witness; the observability readings weight the same
     stack by a factor of each slot's Gram matrix instead.
     `to_final`, `gain_stack` and `final_stack` read one backward product
-    per slot, which the engine keeps and extends for later horizons.
+    per slot, kept and extended for later horizons, its decays only when read.
     `final_stack` also gives each decay's live prefix, past which it is
     exactly 0; products cut there match uncut ones to rounding only.
     Construction costs hbar matrix exponentials; an engine lives for one
@@ -371,12 +371,12 @@ class Propagators:
     def _backward(self, k):
         """The engine's one backward product from t_k: (maps, decays, S).
 
-        maps[i] and decays[i] are the lambda_1-shifted flow and per-mode
-        decay over the last i impulses before t_k, i = 0..k and beyond;
-        S holds each of those impulses' gain under its flow, latest impulse
-        last. Read backwards from t_k, these products depend on k only
-        through its slot, so the engine keeps one product per slot and
-        extends it on demand: every shorter horizon of the same slot reads
+        maps[i] and decays[i] are the lambda_1-shifted flow and per-mode decay
+        over the last i impulses before t_k, i = 0..k and beyond; S holds each
+        of those impulses' gain under its flow, latest impulse last. Read
+        backwards from t_k, these products depend on k only through its slot, so
+        the engine keeps one product per slot and extends it on demand (the
+        decays only in `to_final`): every shorter horizon of the same slot reads
         the tail of the longest one built, bit for bit.
         """
         r = k % self.hbar
@@ -390,10 +390,8 @@ class Propagators:
             blocks = []
             for i in range(len(maps) - 1, k):
                 slot = (r - i - 1) % self.hbar
-                E, decay = self.steps[slot]
                 blocks.append(maps[i] @ self.jumps[slot][0])
-                maps.append(maps[i] @ E)
-                decays.append(decays[i] * decay)
+                maps.append(maps[i] @ self.steps[slot][0])
             S = np.hstack(blocks[::-1] + [S])
             self._tails[r] = (maps, decays, S)
         return maps, decays, S
@@ -403,9 +401,12 @@ class Propagators:
 
         Entry j is ``(exp((P - lambda_1 I)(t_k - t_j)),
         exp(-(lambda - lambda_1)(t_k - t_j)))``, accumulated backwards from
-        t_k by one step product per impulse; entry k is the identity.
+        t_k by one step product per impulse; entry k is the identity. The
+        decays kept by `_backward` are extended here, by the same products.
         """
         maps, decays, _ = self._backward(k)
+        for i in range(len(decays) - 1, k):
+            decays.append(decays[i] * self.steps[(k - i - 1) % self.hbar][1])
         return list(zip(maps[k::-1], decays[k::-1]))
 
     def gain_stack(self, k):
@@ -428,7 +429,7 @@ class Propagators:
         matches the uncut one to rounding, not bitwise.
         """
         F0, S = self.gain_stack(k)
-        decays = np.array(self._backward(k)[1][k::-1])
+        decays = np.array([d for _, d in self.to_final(k)])
         G = np.repeat(decays[1:], self.system.m, axis=0)
         return F0, decays[0], S, G, np.count_nonzero(decays, axis=1)
 
@@ -436,7 +437,10 @@ class Propagators:
         """Each slot's Gram matrix, cut to p x p, applied to its impulses' rows.
 
         U has shape (..., k, m, p), p <= N, impulse j in block j - 1 of axis -3.
+        With no Gram matrix in any slot, U itself is returned.
         """
+        if self.system.has_full_supports():
+            return U
         p = U.shape[-1]
         out = np.empty_like(U)
         for r, (_, gram) in enumerate(self.jumps):
@@ -448,8 +452,9 @@ class Propagators:
 
 
 def l2_norm(state):
-    """L2 norm of the represented function (Frobenius norm of coefficients)."""
-    return float(np.linalg.norm(np.asarray(state, dtype=float)))
+    """L2 norm of the function: `np.linalg.norm` of its coefficients, bitwise."""
+    x = np.asarray(state, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def zero_state(system):

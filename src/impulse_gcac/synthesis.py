@@ -89,6 +89,11 @@ def _impulse_norms(U):
     return np.sqrt(np.add.reduce(sq, axis=1))
 
 
+def _block_norms(V):
+    """Frobenius norm of each V[j], bitwise `np.linalg.norm(V, axis=(1, 2))`."""
+    return np.sqrt(np.add.reduce(V * V, axis=(1, 2)))
+
+
 def _chunked_norms(impulses):
     """`_impulse_norms` of a tuple of equal-shape impulses, stacked 16 at a
     time: a stacked copy of a whole long sequence would raise the peak
@@ -232,7 +237,7 @@ def _propagate(props, state, impulses, k, norms=False):
             state = props.advance(state, j, impulses[j - 1] if j <= len(impulses) else None)
             if norms:
                 trace.append((np.linalg.norm(state, axis=0), l2_norm(state)))
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise NonFiniteStateError(f"the state overflowed within {k} impulses")
     return (state, trace) if norms else state
 
@@ -307,7 +312,7 @@ def _chunked_mode1(props, sched, v, k_max):
     M = S @ S.T
     xi_list = []
     y = F0 @ v
-    while (size := float(np.linalg.norm(y))) > 0.0:
+    while (size := l2_norm(y)) > 0.0:
         if len(xi_list) + span > k_max:
             raise HorizonExhaustedError(
                 f"target needs more than {k_max} impulses of Gramian-ball steering"
@@ -366,7 +371,7 @@ def _steer_mode1(props, sched, x0, k_max):
         raise ValueError("k_max must be at least 1")
     system = props.system
     v = x0[:, 0].copy()
-    if float(np.linalg.norm(v)) == 0.0:
+    if l2_norm(v) == 0.0:
         return SteeringResult(
             controls=ControlSequence(impulses=()),
             horizon_k=0,
@@ -419,8 +424,8 @@ def _steer_mode1(props, sched, x0, k_max):
 
     controls = ControlSequence(impulses=_mode1_controls(system, xi_list))
     final = _propagate(props, x0, controls.impulses, k_used)
-    mode1 = float(np.linalg.norm(final[:, 0]))
-    if mode1 > 1e-9 * float(np.linalg.norm(v)):
+    mode1 = l2_norm(final[:, 0])
+    if mode1 > 1e-9 * l2_norm(v):
         raise RuntimeError(
             f"steering verification failed: mode-1 residual {mode1:.3e}"
         )
@@ -490,7 +495,7 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
 def _gcac(props, sched, x0, eps, k_max):
     """`gcac_synthesize` of a validated x0 on a prebuilt engine."""
     controls, k, final = ControlSequence(impulses=()), 0, x0
-    if float(np.linalg.norm(x0[:, 0])) > 0.0:
+    if l2_norm(x0[:, 0]) > 0.0:
         steer = _steer_mode1(props, sched, x0, k_max)
         controls, k, final = steer.controls, steer.horizon_k, steer.final_state
     while (residual := l2_norm(final)) > eps:
@@ -541,13 +546,13 @@ def null_steer(system, sched, x0, k_star):
 def _null_steer(props, x0, k_star):
     """`null_steer` of a validated x0 on a prebuilt engine, with no rank search."""
     A, b = _null_equations(props, x0, k_star)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("null steering equations must be finite")
     # a dead mode has b_i = 0, whose minimum-norm solution is 0
     xi = np.zeros((x0.shape[1], A.shape[2]))
     xi[: len(A)] = np.matmul(np.linalg.pinv(A, rcond=1e-14), b[:, :, None])[:, :, 0]
     # the equation residual of mode i is its final coefficient itself
-    error = float(np.linalg.norm(np.matmul(A, xi[: len(A), :, None])[:, :, 0] - b))
+    error = l2_norm(np.matmul(A, xi[: len(A), :, None])[:, :, 0] - b)
     scale = l2_norm(x0)
     if error > 1e-10 * max(scale, 1.0):
         raise RuntimeError(
@@ -667,11 +672,11 @@ def _dual_bound(free, r, obs):
     with r / ||r|| is at least ``(<free, r> - sum_j ||obs_j||) / ||r||``.
     r and obs are first divided by r's largest entry, so no square
     overflows before the bound itself would."""
-    scale = float(np.max(np.abs(r)))
+    scale = float(np.abs(r).max())
     if scale == 0.0:
         return 0.0
     r, obs = r / scale, obs / scale
-    paired = float(np.vdot(free, r)) - float(np.linalg.norm(obs, axis=(1, 2)).sum())
+    paired = float(np.vdot(free, r)) - float(_block_norms(obs).sum())
     return paired / l2_norm(r)
 
 
@@ -810,13 +815,13 @@ class _HorizonModel:
                     # the first gradient's Rayleigh quotient, at most the
                     # Lipschitz constant (1 when that gradient vanishes); d
                     # has entries of at most 1, so no square overflows
-                    d = g / (float(np.max(np.abs(g))) or 1.0)
+                    d = g / (float(np.abs(g).max()) or 1.0)
                     L = float(np.square(l2_norm(self.apply(d)) / (l2_norm(d) or 1.0))) or 1.0
                 # the slack absorbs the rounding of A (V - Y) once steps are tiny
                 slack = 1e-12 * float(np.vdot(r, r))
                 for _ in range(60):
                     V = Y - g / L
-                    V /= np.maximum(np.linalg.norm(V, axis=(1, 2)), 1.0)[:, None, None]
+                    V /= np.maximum(_block_norms(V), 1.0)[:, None, None]
                     AV = self.apply(V)
                     dA, dV = AV - AY, V - Y
                     curve = float(np.vdot(dA, dA))

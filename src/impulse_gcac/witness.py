@@ -135,15 +135,16 @@ def reachability_gap(system, sched, x0, k, grad_iters):
 
     Returns (lower_bound, achieved), both from one `_HorizonModel.descend`
     of at most `grad_iters` steps from the zero control at exactly k
-    impulses, which stops once its dual bound is within a relative 1e-10
-    of its best residual. achieved is the norm of the `simulate` replay of
-    the returned impulses. lower_bound is the best dual bound of the
-    descent's residual directions, the first of which is the free final
-    state, and of the coupling eigendirections on mode 1, clamped to
-    [0, achieved]. Every constrained control sequence satisfies
-    residual >= lower_bound; the upper clamp keeps that true, since
-    achieved is attained by a unit-ball control, and removes a bound above
-    achieved by rounding alone when the bound is tight.
+    impulses, which stops once its dual bound is within a relative 1e-10 of
+    its best residual; on an exactly reachable target (optimum 0, every
+    bound <= 0) it runs all `grad_iters` steps. achieved is the norm of the
+    `simulate` replay of the returned impulses. lower_bound is the best dual
+    bound of the descent's residual directions, the first of which is the
+    free final state, and of the coupling eigendirections on mode 1, clamped
+    to [0, achieved]. Every constrained control sequence satisfies
+    residual >= lower_bound; the upper clamp keeps that true, since achieved
+    is attained by a unit-ball control, and removes a bound above achieved
+    by rounding alone when the bound is tight.
 
     x0 must have shape (n, N). Raises NonFiniteStateError when a
     propagated state, the achieved residual or the bound overflows.

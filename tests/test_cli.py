@@ -395,6 +395,19 @@ def test_output_path_naming_a_file_is_an_io_error(tmp_path, capsys):
     assert error["code"] == "io-error"
 
 
+def test_summary_line_names_the_report_it_wrote(tmp_path, capsys):
+    # parameters.out places the report, and --out overrides it
+    named, given = tmp_path / "named", tmp_path / "given"
+    path = write_scenario(tmp_path, full_support_doc(out=str(named)))
+    for argv, where in (([], named), (["--out", str(given)], given)):
+        assert main(["check", "--scenario", str(path), *argv]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.endswith(f"(report: {where / 'report.json'})")
+        assert (where / "report.json").is_file()
+        (where / "report.json").unlink()
+    assert not (named / "report.json").exists()
+
+
 def _failing_check(monkeypatch, err):
     def verdict(*args, **kwargs):
         raise err

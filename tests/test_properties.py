@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from impulse_gcac import synthesis
 from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
@@ -41,6 +42,7 @@ from impulse_gcac.synthesis import (
     BUDGET_SLACK,
     ControlSequence,
     _HorizonModel,
+    _block_norms,
     _null_equations,
     constrained_null_synthesize,
     gcac_synthesize,
@@ -141,16 +143,22 @@ def test_shorter_gain_stacks_are_tails_of_longer_ones_bitwise(case, k, extra):
     props.gain_stack(K + 1)
     props.gain_stack(K)
     F0, d0, S, G, _ = props.final_stack(k)
-    F, d, blocks, decays = np.eye(system.n), np.ones(system.domain.modes), [], []
+    F, d, blocks, flows = np.eye(system.n), np.ones(system.domain.modes), [], []
     for j in range(k, 0, -1):
         blocks.append(F @ system.gain(nu(sched, j)))
-        decays.append(d)
+        flows.append((F, d))
         E, decay = props.steps[(j - 1) % sched.hbar]
         F, d = F @ E, d * decay
+    flows.append((F, d))
     assert np.array_equal(F0, F) and np.array_equal(d0, d)
     assert np.array_equal(S, np.hstack(blocks[::-1]))
-    assert np.array_equal(G, np.repeat(np.array(decays[::-1]), system.m, axis=0))
-    assert np.array_equal(props.to_final(k)[0][0], F)
+    decays = [d for _, d in flows[-2::-1]]
+    assert np.array_equal(G, np.repeat(np.array(decays), system.m, axis=0))
+    # every map and decay of to_final, from t_0 to t_k
+    to_final = props.to_final(k)
+    assert len(to_final) == k + 1
+    for (Fj, dj), (F, d) in zip(to_final, flows[::-1]):
+        assert np.array_equal(Fj, F) and np.array_equal(dj, d)
 
 
 @given(
@@ -255,6 +263,60 @@ LOCAL_UNDERFLOW = (
     ),
     ImpulseSchedule(base_times=(0.3, 0.8)),
 )
+
+
+def _eager_decays(props, k):
+    """Rows j = 0..k: the per-mode decay from t_j to t_k, one product per
+    impulse backwards from t_k, as an engine that built every decay with
+    its maps would have them."""
+    d, rows = np.ones(props.system.domain.modes), []
+    for j in range(k, 0, -1):
+        rows.append(d)
+        d = d * props.steps[(j - 1) % props.hbar][1]
+    return np.array([d] + rows[::-1])
+
+
+# one slot on 128 modes: one step's decay is subnormal at mode 38 and 0 past it
+ONE_SLOT_UNDERFLOW = (
+    make_system(np.diag([-0.2, 0.1]), [np.array([[1.0], [0.5]])], modes=128),
+    ImpulseSchedule(base_times=(0.5,)),
+)
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+@pytest.mark.parametrize("probed", [False, True])
+@pytest.mark.parametrize("case", [ONE_SLOT_UNDERFLOW, MIXED_UNDERFLOW], ids=["hbar1", "hbar2"])
+def test_decays_extended_on_demand_match_the_eager_recurrence_bitwise(case, probed, k):
+    # a probed engine served gain_stack(2k) first, which builds maps but no
+    # decays; a longer horizon of k's slot then extends the decays kept for k
+    system, sched = case
+    props = Propagators(system, sched)
+    if probed:
+        props.gain_stack(2 * k)
+    for K in (k, k + 3 * sched.hbar):
+        eager = _eager_decays(props, K)
+        _, d0, _, G, live = props.final_stack(K)
+        assert np.array_equal(d0, eager[0])
+        assert np.array_equal(G, np.repeat(eager[1:], system.m, axis=0))
+        assert np.array_equal(live, np.count_nonzero(eager, axis=1))
+        assert all(np.array_equal(d, e) for (_, d), e in zip(props.to_final(K), eager))
+
+
+def test_project_returns_its_input_on_full_supports_and_weights_each_slot_otherwise():
+    rng = np.random.default_rng(11)
+    full = make_system(np.diag([-0.2, 0.1]), [np.eye(2), np.eye(2)], modes=16)
+    U = rng.standard_normal((5, 2, 16))
+    assert Propagators(full, ImpulseSchedule(base_times=(0.1, 0.3))).project(U) is U
+    # mixed supports: slot 1 is full, slot 2 local; a batch axis and a cut p < N
+    system, sched = MIXED_UNDERFLOW
+    props = Propagators(system, sched)
+    for shape in [(7, 2, 128), (3, 6, 2, 20)]:
+        U = rng.standard_normal(shape)
+        p, want = shape[-1], U.copy()
+        rows = U[..., 1::2, :, :]
+        want[..., 1::2, :, :] = (rows.reshape(-1, p) @ system._grams[1][:p, :p]).reshape(rows.shape)
+        got = props.project(U)
+        assert got is not U and np.array_equal(got, want)
 
 
 def cut_every_dead_column():
@@ -728,6 +790,47 @@ def rank_cases(draw, deficient=None):
 def direct_block(P, gains, sched, j):
     """exp(-P t_j) Q_nu(j) from one direct matrix exponential."""
     return mat_exp(-P, time_at(sched, j)) @ gains[nu(sched, j) - 1]
+
+
+# entries of every binade, subnormals and squares that overflow included, inf and NaN
+EDGE_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([5e-324, -2.5e-310, 1e-160, 1e200, -1.5e300, math.nan]),
+)
+
+
+@st.composite
+def float_views(draw, dims=(1, 3)):
+    """A float array of dims[0] to dims[1] axes, read plain, transposed,
+    strided or reversed, so its entries are not in C order in memory.
+    Its entries are `EDGE_ENTRIES`, or uniform on [-4, 4] from a seed, so
+    that their sum rounds by its order."""
+    shape = draw(hnp.array_shapes(min_dims=dims[0], max_dims=dims[1], min_side=0, max_side=9))
+    if draw(st.booleans()):
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-4.0, 4.0, shape)
+    else:
+        x = draw(hnp.arrays(np.float64, shape, elements=EDGE_ENTRIES, fill=st.nothing()))
+    view = draw(st.sampled_from(["plain", "transposed", "strided", "reversed"]))
+    if view == "transposed":
+        return x.T
+    if view == "strided":
+        return x[(slice(None, None, 2),) * x.ndim]
+    return x[..., ::-1] if view == "reversed" else x
+
+
+@settings(max_examples=200)
+@example(
+    # transposed: read in memory order, the sums round differently from C order
+    x=np.random.default_rng(0).uniform(-4.0, 4.0, (4, 5, 6)).T,
+    V=np.random.default_rng(6).uniform(-4.0, 4.0, (9, 9, 9)).transpose(2, 0, 1),
+)
+@given(float_views(), float_views(dims=(3, 3)))
+def test_dispatch_free_norms_equal_numpys_bitwise(x, V):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array(float(np.linalg.norm(x)))
+        assert np.array(l2_norm(x)).tobytes() == want.tobytes()
+        want = np.linalg.norm(V, axis=(1, 2))
+        assert _block_norms(V).tobytes() == want.tobytes()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9), st.integers(0, 4))

@@ -444,7 +444,6 @@ def _steering_summary(result):
         "impulse_count": len(result.controls),
         "max_control_norm": result.controls.max_norm(),
         "total_control_l2": result.controls.l2_total(),
-        "final_state_norm": result.residual,
     }
 
 
@@ -455,7 +454,7 @@ def _task_check(scenario):
 
 def _task_observability(scenario):
     system, sched = scenario.system, scenario.sched
-    ok, found = rank_condition(system.coupling, system.gains, sched, _k_max(scenario))
+    ok, found = rank_condition(system, sched, _k_max(scenario))
     result = {"rank_ok": bool(ok), "k_star": found}
     constants = []
     k_eval = scenario.parameters.get("k_star", found if ok else sched.hbar)

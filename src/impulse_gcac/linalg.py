@@ -7,8 +7,11 @@ selection of N. J. Higham (SIAM J. Matrix Anal. Appl. 26, 2005), in plain
 numpy. Everything operates on plain float ndarrays; inputs are validated
 once here so downstream modules can assume finite, correctly shaped
 matrices.
-`column_span` makes the package's only rank decision: every rank, its null
-direction and every Gramian constant are read from its SVD.
+`column_span` decides every rank the package reports: every rank, its
+null direction and every Gramian constant are read from its SVD. Two
+solvers cut small singular values on their own: `min_norm_solve` at the
+lstsq rcond `RANK_TOL`, and the per-mode pseudo-inverse of null steering
+at rcond 1e-14.
 """
 
 import math

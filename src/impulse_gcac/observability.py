@@ -45,7 +45,7 @@ from .linalg import (
     spectrum,
     symmetric_part_max_eig,
 )
-from .schedule import _check_gains, _krylov_stack, check_cycle, nu, time_at
+from .schedule import _krylov_stack, check_cycle, nu, time_at
 from .spectral import NonFiniteStateError, Propagators, _shifted_flow
 
 __all__ = [
@@ -119,7 +119,7 @@ class HypothesisVerdict:
     omega_full: bool
 
 
-def rank_condition(P, gains, sched, k_max):
+def rank_condition(system, sched, k_max):
     """Smallest horizon at which the gain stack spans all components.
 
     Returns (True, k) for the first k <= k_max at which the blocks
@@ -128,33 +128,34 @@ def rank_condition(P, gains, sched, k_max):
     times the invertible exp(P t_k), so the rank is the same. The search
     forms no flow longer than one step, so long horizons cannot overflow
     it; a step map that does raises NonFiniteStateError, unless the first
-    block alone has full rank. Raises ValueError unless there is one gain
-    per schedule slot.
+    block alone has full rank. `check_cycle` raises ValueError unless the
+    schedule has one slot per controller.
     """
-    k_star, _ = _rank_search(P, gains, sched, k_max)
+    check_cycle(system, sched)
+    k_star, _ = _rank_search(system, sched, k_max)
     return k_star is not None, k_star
 
 
-def _rank_search(P, gains, sched, k_max):
+def _rank_search(system, sched, k_max):
     """`rank_condition` as (k_star or None, null basis at time 0).
 
     Candidate j steps the factor `Span.factor` of blocks 1..j-1, which has
     their singular values and left singular vectors, through slot nu(j)'s
     map ``exp(P D_r)`` to t_j and appends Q_nu(j), both at unit spectral
     norm (positive scaling leaves every span unchanged): one `column_span`
-    of at most n + m columns. The null basis, shape (n, n - rank), is
-    empty at k_star; on failure it holds the directions no block up to
-    k_max sees, mapped back to time 0 by ``N <- qr(E^T N)`` over the step
-    maps of impulses k_max..1, unless the stack's range is invariant under
-    every step map, which leaves N where it is.
+    of at most n + m columns. The engine's shifted maps would not do: a
+    short domain underflows their factor exp(-lambda_1 D_r) to 0. The null
+    basis, shape (n, n - rank), is empty at k_star; on failure it holds the
+    directions no block up to k_max sees, mapped back to time 0 by
+    ``N <- qr(E^T N)`` over the step maps of impulses k_max..1, unless the
+    stack's range is invariant under every step map, which leaves N where
+    it is.
     """
-    P = as_matrix(P)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    _check_gains(gains, sched)
-    n = P.shape[0]
-    steps = [mat_exp(P, D) for D in sched.slot_lengths]
-    units = [_unit_norm(as_matrix(Q, rows=n)) for Q in gains]
+    n = system.n
+    steps = [mat_exp(system.coupling, D) for D in sched.slot_lengths]
+    units = [_unit_norm(Q) for Q in system.gains]
     factor = np.zeros((n, 0))
     for j in range(1, k_max + 1):
         if j > 1:
@@ -455,8 +456,7 @@ def _dissipative(system):
 
 def hypothesis_verdict(system, sched, k_max):
     """All synthesis hypotheses evaluated on one system and schedule."""
-    check_cycle(system, sched)
-    ok, k_star = rank_condition(system.coupling, system.gains, sched, k_max)
+    ok, k_star = rank_condition(system, sched, k_max)
     return HypothesisVerdict(
         rank_ok=ok,
         k_star=k_star,

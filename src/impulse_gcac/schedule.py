@@ -84,12 +84,6 @@ def check_cycle(system, sched):
         )
 
 
-def _check_gains(gains, sched):
-    """Raise unless there is exactly one gain per schedule slot."""
-    if len(gains) != sched.hbar:
-        raise ValueError(f"schedule cycles {sched.hbar} impulse slots but got {len(gains)} gains")
-
-
 def _krylov_stack(P, B):
     """``[B, PB, ..., P^(n-1) B]`` side by side, n = P.shape[0]."""
     blocks = [B]

@@ -24,8 +24,8 @@ them once per schedule: the loop of `simulate` and the maps from each
 impulse to the final time are products of these per-slot step maps, and
 so is the final-time gain stack that maps controls to states and, read
 transposed, states to controller readings. The rank search steps its
-stack through the same per-slot maps of the unshifted coupling, so every
-part of the package works in this one final-time frame; `apply_semigroup`
+stack through the unshifted maps ``exp(P D_r)`` in this frame, since a
+shifted map underflows once lambda_1 D_r passes about 745; `apply_semigroup`
 remains the one-shot flow over an arbitrary time. Every shifted flow is
 one `_shifted_flow`, and only partial supports store a Gram matrix.
 """

@@ -262,7 +262,7 @@ def _require_rank(system, sched, k, message):
     Raises RankDeficiencyError with `message` and, as witness, a unit
     direction orthogonal to every searched block when there is none.
     """
-    k_star, null = _rank_search(system.coupling, system.gains, sched, k)
+    k_star, null = _rank_search(system, sched, k)
     if k_star is None:
         raise RankDeficiencyError(message, witness=null[:, 0])
     return k_star
@@ -286,7 +286,7 @@ def _mode1_controls(system, xi_list):
     return tuple(U)
 
 
-def _chunked_mode1(props, sched, v, k_max):
+def _chunked_mode1(props, v, k_max):
     """Greedy Gramian-ball steering of a mode-1 target, one span at a time.
 
     The span is the first whole number of periods whose final-time stack
@@ -360,10 +360,10 @@ def steer_first_mode(system, sched, v_target, k_max):
         raise ValueError(f"target must have {system.n} components")
     x0 = zero_state(system)
     x0[:, 0] = v
-    return _steer_mode1(Propagators(system, sched), sched, x0, k_max)
+    return _steer_mode1(Propagators(system, sched), x0, k_max)
 
 
-def _steer_mode1(props, sched, x0, k_max):
+def _steer_mode1(props, x0, k_max):
     """`steer_first_mode` of the mode-1 part v of a checked state x0, on a
     prebuilt engine; the controls are replayed from x0 itself, and mode 1 is
     checked on column 0 of that replay, the result's final state."""
@@ -415,7 +415,7 @@ def _steer_mode1(props, sched, x0, k_max):
         xi_list, k_used = xi, hi
     else:
         try:
-            xi_list = _chunked_mode1(props, sched, v, k_max)
+            xi_list = _chunked_mode1(props, v, k_max)
         except HorizonExhaustedError as err:
             raise HorizonExhaustedError(
                 str(err), best_sup=min(best_sup, err.best_sup)
@@ -489,14 +489,14 @@ def gcac_synthesize(system, sched, x0, eps, k_max):
         raise ValueError("this synthesis requires full actuator supports")
     _spectral_guard(system)
     x0 = _check_state(system, x0).copy()
-    return _gcac(Propagators(system, sched), sched, x0, eps, k_max)
+    return _gcac(Propagators(system, sched), x0, eps, k_max)
 
 
-def _gcac(props, sched, x0, eps, k_max):
+def _gcac(props, x0, eps, k_max):
     """`gcac_synthesize` of a validated x0 on a prebuilt engine."""
     controls, k, final = ControlSequence(impulses=()), 0, x0
     if l2_norm(x0[:, 0]) > 0.0:
-        steer = _steer_mode1(props, sched, x0, k_max)
+        steer = _steer_mode1(props, x0, k_max)
         controls, k, final = steer.controls, steer.horizon_k, steer.final_state
     while (residual := l2_norm(final)) > eps:
         if k >= k_max:
@@ -629,7 +629,7 @@ def constrained_null_synthesize(system, sched, x0, k_max):
         boundary = 0
         reached = x0
     else:
-        ball = _gcac(props, sched, x0, eps, k_max)
+        ball = _gcac(props, x0, eps, k_max)
         prefix = list(ball.controls.impulses)
         boundary = hbar * (ball.horizon_k // hbar + 1)
         if boundary + k_star > k_max:

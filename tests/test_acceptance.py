@@ -106,7 +106,7 @@ def test_criterion_04_constrained_null_two_phase_structure():
     # two phases: approximate steering into the certified ball, then the
     # exact solve over the final k_star impulses
     gains = [system.gain(1)]
-    ok, k_star = rank_condition(system.coupling, gains, sched, k_max=8)
+    ok, k_star = rank_condition(system, sched, k_max=8)
     assert ok
     taus = [time_at(sched, j) for j in range(1, k_star + 1)]
     C = finite_obs_constant(system.coupling, gains, taus).constant
@@ -153,7 +153,7 @@ def test_criterion_06_observability_constant_brute_force_oracle():
             gains = [rng.standard_normal((2, 2)) for _ in range(k)]
         report = finite_obs_constant(P, gains, taus)
         sched = ImpulseSchedule(base_times=tuple(taus))
-        ok, _ = rank_condition(P, gains, sched, k_max=len(taus))
+        ok, _ = rank_condition(make_system(P, gains), sched, k_max=len(taus))
         assert math.isinf(report.constant) == (not ok)
         if not ok:
             continue
@@ -291,6 +291,6 @@ def test_criterion_10_truncation_property_and_schedule_selection():
         picked += 1
         q = schedule_depth(P, gains)
         sched = pick_schedule(P, gains)
-        ok, k_star = rank_condition(P, gains, sched, k_max=(q + 1) * hbar)
+        ok, k_star = rank_condition(make_system(P, gains), sched, k_max=(q + 1) * hbar)
         assert ok
         assert k_star <= (q + 1) * hbar

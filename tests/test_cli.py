@@ -497,6 +497,15 @@ def test_last_trajectory_row_is_the_residual_bitwise(tmp_path, task):
     assert float(rows[-1].split(",")[-2]) == report["result"]["residual"]
 
 
+@pytest.mark.parametrize("task", ["synthesize-gcac", "synthesize-null", "synthesize-local"])
+def test_steering_reports_state_the_residual_under_one_key(tmp_path, task):
+    path = write_scenario(tmp_path, rotation_doc())
+    assert main([task, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert "residual" in result
+    assert "final_state_norm" not in result
+
+
 def test_local_synthesis_reports_the_winning_iteration_per_horizon(tmp_path):
     doc = full_support_doc(coupling=[[0.0, 0.3], [-0.3, 0.0]], eps=0.05, k_max=64)
     path = write_scenario(tmp_path, doc)

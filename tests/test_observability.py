@@ -24,28 +24,33 @@ from impulse_gcac.observability import (
     semigroup_norm,
 )
 from impulse_gcac.schedule import ImpulseSchedule, time_at
-from impulse_gcac.spectral import NonFiniteStateError, apply_adjoint_semigroup, l2_norm
+from impulse_gcac.spectral import (
+    NonFiniteStateError,
+    apply_adjoint_semigroup,
+    l2_norm,
+    single_mode_state,
+)
+from impulse_gcac.synthesis import null_steer
 
 # ---------------------------------------------------------------------------
 # rank_condition / kalman_rank
 
 
 def test_rank_condition_identity_gain_immediate():
-    ok, k_star = rank_condition(np.zeros((3, 3)), [np.eye(3)], unit_schedule(), 5)
+    ok, k_star = rank_condition(make_system(np.zeros((3, 3)), [np.eye(3)]), unit_schedule(), 5)
     assert ok and k_star == 1
 
 
 def test_rank_condition_unobserved_component_never_fills():
     system = two_component_invariant_system()
-    gains = [system.gain(1)]
-    ok, k_star = rank_condition(system.coupling, gains, unit_schedule(), 20)
+    ok, k_star = rank_condition(system, unit_schedule(), 20)
     assert not ok and k_star is None
 
 
 def test_rank_condition_two_actuators_need_both():
     gains = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])]
     sched = ImpulseSchedule((0.5, 1.0))
-    ok, k_star = rank_condition(np.zeros((2, 2)), gains, sched, 5)
+    ok, k_star = rank_condition(make_system(np.zeros((2, 2)), gains), sched, 5)
     assert ok and k_star == 2
 
 
@@ -53,18 +58,30 @@ def test_rank_condition_on_a_stiff_coupling_reaches_full_rank():
     # pull-back maps exp(40 t_j) overflow within 64 impulses, and in their
     # frame the second component falls below the rank tolerance at once;
     # the final-time stack is full at k = 2
-    gains = [np.array([[1.0], [1.0]])]
+    system = make_system(np.diag([-40.0, 0.5]), [np.array([[1.0], [1.0]])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rank_condition(np.diag([-40.0, 0.5]), gains, unit_schedule(), 64) == (True, 2)
+        assert rank_condition(system, unit_schedule(), 64) == (True, 2)
 
 
 def test_rank_condition_reports_an_overflowing_step_map_as_non_finite():
     # the first block needs no flow; the second needs exp(1000)
     P = np.diag([1000.0, 0.0])
-    assert rank_condition(P, [np.eye(2)], unit_schedule(), 4) == (True, 1)
+    assert rank_condition(make_system(P, [np.eye(2)]), unit_schedule(), 4) == (True, 1)
     with pytest.raises(NonFiniteStateError, match="overflowed"):
-        rank_condition(P, [np.array([[1.0], [1.0]])], unit_schedule(), 4)
+        rank_condition(make_system(P, [np.array([[1.0], [1.0]])]), unit_schedule(), 4)
+
+
+def test_rank_condition_does_not_depend_on_the_domain_length():
+    # lambda_1 = (pi / 0.1)^2 ~ 987 underflows the shifted slot map
+    # exp((P - lambda_1 I) 1) to 0; the rank of the stack is free of it
+    P = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    system = make_system(P, [np.array([[1.0], [0.0]])], length=0.1, modes=8)
+    assert rank_condition(system, unit_schedule(), 8) == (True, 2)
+    verdict = hypothesis_verdict(system, unit_schedule(), 8)
+    assert verdict.rank_ok and verdict.k_star == 2
+    x0 = single_mode_state(system, 1, np.array([1.0, 0.5]))
+    assert null_steer(system, unit_schedule(), x0, 2).residual == 0.0
 
 
 def test_rank_search_spans_at_most_n_plus_m_columns(monkeypatch):
@@ -79,7 +96,7 @@ def test_rank_search_spans_at_most_n_plus_m_columns(monkeypatch):
         return span(S)
 
     monkeypatch.setattr(observability, "column_span", recording_span)
-    ok, k_star = rank_condition(system.coupling, [system.gain(1)], unit_schedule(), 64)
+    ok, k_star = rank_condition(system, unit_schedule(), 64)
     assert not ok and k_star is None
     assert len(widths) == 64
     assert max(widths) <= system.n + system.m
@@ -371,15 +388,15 @@ def test_verdict_supercritical_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# one gain per slot; typed errors of the composition
+# one controller per slot; typed errors of the composition
 
 
 def test_rank_condition_needs_one_gain_per_slot():
     e1 = np.array([[1.0], [0.0]])
-    with pytest.raises(ValueError, match="2 impulse slots but got 1 gains"):
-        rank_condition(np.eye(2), [e1], ImpulseSchedule((0.5, 1.0)), 4)
-    with pytest.raises(ValueError, match="1 impulse slots but got 2 gains"):
-        rank_condition(np.eye(2), [e1, e1], ImpulseSchedule((1.0,)), 4)
+    with pytest.raises(ValueError, match="2 impulse slots but the system has 1 controllers"):
+        rank_condition(make_system(np.eye(2), [e1]), ImpulseSchedule((0.5, 1.0)), 4)
+    with pytest.raises(ValueError, match="1 impulse slots but the system has 2 controllers"):
+        rank_condition(make_system(np.eye(2), [e1, e1]), ImpulseSchedule((1.0,)), 4)
 
 
 @pytest.mark.parametrize("rate, t_bad", [(800.0, 1.0), (739.0, 1.0)])

@@ -566,7 +566,7 @@ def test_shared_sample_table_search_matches_the_per_poll_search(
     Q = [np.array(g) for g in gains]
     system = make_system(np.array(coupling), Q, modes=32)
     sched = ImpulseSchedule(base_times=base_times)
-    assert rank_condition(system.coupling, Q, sched, k) == (True, k)
+    assert rank_condition(system, sched, k) == (True, k)
     got = delta_obs_constant(system, sched, k, delta).constant
     want = _per_poll_delta_obs(system, sched, k, delta, sample_count=10000)
     assert 0.0 < want < math.inf
@@ -878,9 +878,10 @@ def test_rank_search_matches_direct_exponential_blocks(case):
         if numerical_rank(np.hstack(blocks)) == n:
             direct = j
             break
-    k_star, null = _rank_search(P, gains, sched, k_max)
+    system = make_system(P, gains)
+    k_star, null = _rank_search(system, sched, k_max)
     assert k_star == direct
-    assert rank_condition(P, gains, sched, k_max) == (direct is not None, direct)
+    assert rank_condition(system, sched, k_max) == (direct is not None, direct)
     stack = np.hstack(blocks)
     assert np.linalg.norm(null.T @ stack) <= 1e-8 * np.linalg.norm(stack, 2)
 
@@ -917,7 +918,7 @@ def test_rank_condition_never_raises_on_stiff_couplings(case):
     P, gains, sched, hidden = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ok, k_star = rank_condition(P, gains, sched, 64)
+        ok, k_star = rank_condition(make_system(P, gains), sched, 64)
     assert ok == (k_star is not None)
 
 
@@ -927,7 +928,7 @@ def test_rank_search_witness_is_the_hidden_direction_over_long_horizons(case):
     # mapped back through 64 step maps, the rounding of a null basis grows
     # by up to exp(20 t) against it
     P, gains, sched, hidden = case
-    k_star, null = _rank_search(P, gains, sched, 64)
+    k_star, null = _rank_search(make_system(P, gains), sched, 64)
     assert k_star is None and null.shape[1] == 1
     w = null[:, 0] * np.sign(null[:, 0] @ hidden)
     assert np.linalg.norm(w - hidden) <= 1e-6

@@ -313,7 +313,7 @@ def test_steer_first_mode_is_bitwise_the_same_on_a_warm_engine(hbar):
                 warm_props.gain_stack(K)
             x0 = zero_state(system)
             x0[:, 0] = v
-            warm = synthesis._steer_mode1(warm_props, sched, x0, k_max)
+            warm = synthesis._steer_mode1(warm_props, x0, k_max)
             k = cold.horizon_k
             assert warm.horizon_k == k
             F0, S = Propagators(system, sched).gain_stack(k)
@@ -351,7 +351,7 @@ def test_chunked_steering_consumes_the_target_in_ball_pieces():
     system = make_system(np.diag([0.5, 1.0]), [np.eye(2)], modes=8)
     sched = unit_schedule()
     v = np.array([3.0, -2.5])
-    xi = _chunked_mode1(Propagators(system, sched), sched, v, 64)
+    xi = _chunked_mode1(Propagators(system, sched), v, 64)
     assert max(np.linalg.norm(x) for x in xi) <= 1.0 + 1e-12
     impulses = []
     for x in xi:

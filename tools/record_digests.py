@@ -1,10 +1,13 @@
-"""Print the digest of every in-process benchmark record as one JSON map.
+"""Print the digest of every benchmark record as one JSON map.
 
 For each seed, runs every steer-full, steer-local and certify scenario of
 `perfbench/scenarios.generate` once, through the runners of
 `perfbench/worker.py`, and maps ``workload/seed/id`` to the record's
-`worker._digest`. The package is imported from this checkout's `src`, so
-two checkouts give two maps that `diff` compares record by record:
+`worker._digest`. Each cli case runs once through `worker.Cli` in process,
+in a temporary directory; its digest covers the exit code and the bytes of
+``report.json`` and ``trajectory.csv``. The package is imported from this
+checkout's `src`, so two checkouts give two maps that `diff` compares
+record by record:
 
     python3 tools/record_digests.py 1 2 3 > before.json   # in one checkout
     python3 tools/record_digests.py 1 2 3 > after.json    # in the other
@@ -14,6 +17,7 @@ two checkouts give two maps that `diff` compares record by record:
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +41,12 @@ def digests(seeds):
             runner.build()
             for i, scn in enumerate(scns):
                 out[f"{workload}/{seed}/{scn['id']}"] = worker._digest(runner.execute(i))
+        scns = scenarios.generate("cli", seed)
+        with tempfile.TemporaryDirectory() as workdir:
+            runner = worker.Cli(scns, Path(workdir), env=None)
+            runner.build()
+            for i, scn in enumerate(scns):
+                out[f"cli/{seed}/{scn['id']}"] = worker._digest(runner.execute_in_process(i))
     return out
 
 

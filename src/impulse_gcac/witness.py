@@ -7,15 +7,23 @@ Two complementary obstructions to constrained steering:
   impulse sequence reaches the target ball, ever;
 * a per-horizon reachability gap: a duality bound proving every
   constrained control leaves at least some residual at t_k, paired with
-  the best residual an actual constrained search achieves.
+  the best residual an actual constrained control achieves.
 
 The gap bound is sound by construction: for a unit direction phi, any
 admissible impulse changes the final-state pairing by at most the norm of
 the corresponding observation, so the free pairing minus the summed
 observation norms lower-bounds the reachable residual.
+
+The achieved side comes from one of two routes. On full supports, a
+target that the free state's dual bound does not rule out is first tried
+exactly: when the minimum-norm null control of `null_steer` stays in the
+unit ball, its replay residual (rounding only) closes the gap at 0. Every
+other target gets a projected FISTA descent with restarted momentum,
+which stops once its dual bound meets its residual.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from .observability import _spectral_class, _spectral_tol
 from .schedule import check_cycle
 from .spectral import NonFiniteStateError, Propagators, _check_state, zero_state
-from .synthesis import _HorizonModel, _dual_bound
+from .synthesis import BUDGET_SLACK, _HorizonModel, _dual_bound, _null_steer
 
 __all__ = [
     "InapplicableCertificateError",
@@ -133,33 +141,45 @@ def negative_bound(system, sched, epsilon0):
 def reachability_gap(system, sched, x0, k, grad_iters):
     """Certified residual floor at horizon k versus the best attempt.
 
-    Returns (lower_bound, achieved), both from one `_HorizonModel.descend`
-    of at most `grad_iters` steps from the zero control at exactly k
-    impulses, which stops once its dual bound is within a relative 1e-10 of
-    its best residual; on an exactly reachable target (optimum 0, every
-    bound <= 0) it runs all `grad_iters` steps. achieved is the norm of the
-    `simulate` replay of the returned impulses. lower_bound is the best dual
-    bound of the descent's residual directions, the first of which is the
-    free final state, and of the coupling eigendirections on mode 1, clamped
-    to [0, achieved]. Every constrained control sequence satisfies
-    residual >= lower_bound; the upper clamp keeps that true, since achieved
-    is attained by a unit-ball control, and removes a bound above achieved
-    by rounding alone when the bound is tight.
+    Returns (lower_bound, achieved) at exactly k impulses. Every
+    constrained control sequence satisfies residual >= lower_bound, and
+    achieved is the norm of the `simulate` replay of a unit-ball control.
 
-    x0 must have shape (n, N). Raises NonFiniteStateError when a
-    propagated state, the achieved residual or the bound overflows.
+    The first dual bound, that of the free final state, decides the
+    route. When it is at most 0, every support is full and the free state
+    is nonzero, the target may be exactly reachable: the per-mode
+    minimum-norm null control of `null_steer` is tried on the same
+    engine, and when it is exact and every impulse lies in the unit ball
+    its replay gives achieved, with no descent. Otherwise, or when that
+    control fails, achieved comes from one `_HorizonModel.descend` of at
+    most `grad_iters` steps from the zero control, with restarted
+    momentum, which stops once its dual bound is within a relative 1e-10
+    of its best residual.
+
+    lower_bound is the best of the dual bounds of the coupling
+    eigendirections on mode 1 and, when the descent ran, of its residual
+    directions, the first of which is the free final state, clamped to
+    [0, achieved]. The upper clamp keeps the bound sound, since achieved
+    is attained by a unit-ball control, and removes a bound above achieved
+    by rounding alone when the bound is tight; on the exact route it
+    gives 0.
+
+    k and grad_iters must be integers (`operator.index`); x0 must have
+    shape (n, N). Raises NonFiniteStateError when a propagated state, the
+    achieved residual or the bound overflows.
     """
     check_cycle(system, sched)
+    k, grad_iters = operator.index(k), operator.index(grad_iters)
     if k < 1:
         raise ValueError("horizon must be at least 1")
     if grad_iters < 1:
         raise ValueError("grad_iters must be at least 1")
     x0 = _check_state(system, x0).copy()
-    model = _HorizonModel(Propagators(system, sched), k)
-    run = model.descend(x0, np.zeros(model.shape), grad_iters)
+    props = Propagators(system, sched)
+    model = _HorizonModel(props, k)
 
     # the coupling eigendirections on mode 1, on the maps with overflow warnings off
-    values = [run.bound]
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):
         free = model.free(x0)
         _, vecs = np.linalg.eig(system.coupling.T)
@@ -169,6 +189,28 @@ def reachability_gap(system, sched, x0, k, grad_iters):
                     phi = zero_state(system)
                     phi[:, 0] = part
                     values.append(_dual_bound(free, phi, model.gradient(phi)))
+        achieved = None
+        if system.has_full_supports() and free.any():
+            # the descent's first bound; above 0 it proves no control exact
+            first = _dual_bound(free, free, model.gradient(free))
+            if -math.inf < first <= 0.0:
+                achieved = _null_residual(props, x0, k)
+    if achieved is None:
+        run = model.descend(x0, np.zeros(model.shape), grad_iters)
+        values.append(run.bound)
+        achieved = run.residual
     if not all(math.isfinite(v) for v in values):
         raise NonFiniteStateError(f"the reachability gap at horizon {k} overflowed")
-    return min(max(max(values), 0.0), run.residual), run.residual
+    return min(max(max(values), 0.0), achieved), achieved
+
+
+def _null_residual(props, x0, k):
+    """Replay residual of the minimum-norm null control at horizon k, or
+    None when that control is inexact, non-finite or leaves the unit ball."""
+    try:
+        steer = _null_steer(props, x0, k)
+    except (ArithmeticError, RuntimeError, ValueError):
+        return None
+    if steer.controls.max_norm() > 1.0 + BUDGET_SLACK:
+        return None
+    return steer.residual

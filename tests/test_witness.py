@@ -1,13 +1,20 @@
 """Negative certificates: growth thresholds and reachability gaps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from impulse_gcac import witness
 from impulse_gcac.observability import hypothesis_verdict
-from impulse_gcac.spectral import l2_norm, random_state, zero_state
-from impulse_gcac.synthesis import NonFiniteStateError, gcac_synthesize
+from impulse_gcac.spectral import Propagators, l2_norm, random_state, zero_state
+from impulse_gcac.synthesis import (
+    BUDGET_SLACK,
+    NonFiniteStateError,
+    _HorizonModel,
+    gcac_synthesize,
+)
 from impulse_gcac.witness import (
     InapplicableCertificateError,
     NegativeCertificate,
@@ -127,6 +134,66 @@ def test_gap_vanishes_for_fully_controllable_systems():
     lower, achieved = reachability_gap(system, unit_schedule(), x0, 8, 300)
     assert lower == 0.0
     assert achieved <= 1e-3
+
+
+def test_gap_of_a_reachable_target_is_closed_without_a_descent():
+    # the system above: the minimum-norm null control lies deep inside the
+    # unit ball, so its replay is the achieved residual and nothing descends
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    x0 = random_state(system, np.random.default_rng(5), norm=1.0)
+    with mock.patch.object(
+        _HorizonModel, "descend", autospec=True, side_effect=_HorizonModel.descend
+    ) as descend:
+        lower, achieved = reachability_gap(system, unit_schedule(), x0, 8, 300)
+    descend.assert_not_called()
+    assert lower == 0.0
+    assert achieved <= 1e-14 * max(1.0, l2_norm(x0))
+
+
+def _reachable_only_beyond_the_ball():
+    # zero coupling, lambda_1 = 1, k = 2: the free state e^-2 x0 lies on
+    # mode 1 with norm 1.25, below the dual sum 1 + e^-1 of the unit ball,
+    # but the minimum-norm null control's last impulse has norm
+    # 1.25 / (1 + e^-2) = 1.10
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    x0 = zero_state(system)
+    x0[:, 0] = 1.25 * math.exp(2.0) * np.array([0.6, 0.8])
+    return system, x0, True
+
+
+def _local_support():
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], supports=[(0.0, math.pi / 2.0)], modes=8)
+    return system, random_state(system, np.random.default_rng(5), norm=1.0), False
+
+
+@pytest.mark.parametrize("case", [_reachable_only_beyond_the_ball, _local_support])
+def test_gap_falls_back_to_the_descent_when_the_null_control_is_rejected(case):
+    system, x0, tried = case()
+    sched, k, iters = unit_schedule(), 2, 40
+    core, steered = witness._null_steer, []
+
+    def spy(*args):
+        steered.append(core(*args))
+        return steered[-1]
+
+    with mock.patch.object(witness, "_null_steer", spy):
+        lower, achieved = reachability_gap(system, sched, x0, k, iters)
+    assert len(steered) == tried
+    assert all(s.controls.max_norm() > 1.0 + BUDGET_SLACK for s in steered)
+    run = _HorizonModel(Propagators(system, sched), k).descend(x0, np.zeros((k, 2, 8)), iters)
+    assert achieved == run.residual
+    assert lower == min(max(run.bound, 0.0), run.residual)
+
+
+@pytest.mark.parametrize("name", ["k", "grad_iters"])
+def test_gap_takes_integer_horizons_and_step_caps(name):
+    # a float step cap never met `steps == iters`, so it was silently dropped
+    system, x0, _ = _local_support()
+    args = {"k": 2, "grad_iters": 5}
+    with pytest.raises(TypeError):
+        reachability_gap(system, unit_schedule(), x0, **{**args, name: 2.5})
+    got = reachability_gap(system, unit_schedule(), x0, **{**args, name: np.int64(5)})
+    assert got == reachability_gap(system, unit_schedule(), x0, **{**args, name: 5})
 
 
 def test_scaled_growth_direction_stays_unreachable():

@@ -12,6 +12,12 @@ record by record:
     python3 tools/record_digests.py 1 2 3 > before.json   # in one checkout
     python3 tools/record_digests.py 1 2 3 > after.json    # in the other
     diff before.json after.json
+
+With ``--values`` each record maps to its scalar fields instead of a
+digest: horizons, residuals, certificates, verdicts, constants and gap
+pairs, with every impulse array left out, and the exit code for a cli
+case. Floats print exactly, so two such maps can be compared field by
+field, to the relative drift of each number.
 """
 
 import argparse
@@ -31,8 +37,24 @@ RUNNERS = {"steer-full": worker.SteerFull, "steer-local": worker.SteerLocal,
            "certify": worker.Certify}
 
 
-def digests(seeds):
-    """``{workload/seed/id: digest}`` over the given seeds."""
+def scalars(value):
+    """A record with its arrays left out, nested as the record nests it."""
+    def array(v):
+        return hasattr(v, "shape") or (
+            isinstance(v, tuple) and v and all(hasattr(x, "shape") for x in v)
+        )
+
+    if isinstance(value, dict):
+        return {key: scalars(v) for key, v in value.items() if not array(v)}
+    if isinstance(value, (list, tuple)):
+        return [scalars(v) for v in value if not array(v)]
+    return value.item() if hasattr(value, "item") else value
+
+
+def digests(seeds, values=False):
+    """``{workload/seed/id: digest}`` over the given seeds; with values,
+    each record's `scalars` (the exit code for a cli case) instead."""
+    read = scalars if values else worker._digest
     out = {}
     for seed in seeds:
         for workload, runner_type in RUNNERS.items():
@@ -40,21 +62,24 @@ def digests(seeds):
             runner = runner_type(ig, scns)
             runner.build()
             for i, scn in enumerate(scns):
-                out[f"{workload}/{seed}/{scn['id']}"] = worker._digest(runner.execute(i))
+                out[f"{workload}/{seed}/{scn['id']}"] = read(runner.execute(i))
         scns = scenarios.generate("cli", seed)
         with tempfile.TemporaryDirectory() as workdir:
             runner = worker.Cli(scns, Path(workdir), env=None)
             runner.build()
             for i, scn in enumerate(scns):
-                out[f"cli/{seed}/{scn['id']}"] = worker._digest(runner.execute_in_process(i))
+                outcome = runner.execute_in_process(i)
+                out[f"cli/{seed}/{scn['id']}"] = outcome["code"] if values else read(outcome)
     return out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+")
+    parser.add_argument("--values", action="store_true",
+                        help="print each record's scalar fields instead of its digest")
     args = parser.parse_args()
-    json.dump(digests(args.seeds), sys.stdout, indent=1, sort_keys=True)
+    json.dump(digests(args.seeds, args.values), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
 

@@ -1,12 +1,12 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
 Contract-focused wrappers around numpy's LAPACK routines: the span of a
-column stack, minimum-norm least squares, and eigenvalue summaries; and
-the matrix exponential, by Pade scaling and squaring with the degree
-selection of N. J. Higham (SIAM J. Matrix Anal. Appl. 26, 2005), in plain
-numpy. Everything operates on plain float ndarrays; inputs are validated
-once here so downstream modules can assume finite, correctly shaped
-matrices.
+column stack, the spectral norm, minimum-norm least squares, eigenvalue
+summaries; and the matrix exponential, by Pade scaling and squaring with
+the degree selection of N. J. Higham (SIAM J. Matrix Anal. Appl. 26,
+2005), in plain numpy. Everything operates on plain float ndarrays;
+inputs are validated once here so downstream modules can assume finite,
+correctly shaped matrices.
 `column_span` decides every rank the package reports: every rank, its
 null direction and every Gramian constant are read from its SVD. Two
 solvers cut small singular values on their own: `min_norm_solve` at the
@@ -30,6 +30,7 @@ __all__ = [
     "mat_exp",
     "numerical_rank",
     "min_norm_solve",
+    "spectral_norm",
     "spectrum",
     "symmetric_part_max_eig",
 ]
@@ -214,6 +215,11 @@ def column_span(S):
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
     sigma_n = float(s[n - 1]) if rank == n else 0.0
     return Span(rank, float(s[0]), sigma_n, u[:, rank:], u[:, : s.size] * s)
+
+
+def spectral_norm(A):
+    """Top singular value of a float matrix, unvalidated; bitwise ``np.linalg.norm(A, 2)``."""
+    return float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
 
 
 def numerical_rank(M):

@@ -19,8 +19,8 @@ blocks ``exp(-P tau_j) Q_j``. The sampled constant builds one reading
 matrix per call from the gain stack of `spectral.Propagators.final_stack`,
 the maps synthesis descends on: a probe state's adjoint flow and every
 controller reading, each weighted by a factor of its Gram matrix, are
-segments of one row product, so a pattern-search poll is a handful of
-operations on precomputed arrays.
+segments of one row product. The pattern search builds its offsets for
+every step length once per call, and polls in preallocated buffers.
 `delta_obs_constant` is a sampled lower estimate on the first
 PROBE_MODES modes. Its probe states depend only on (seed, sample count,
 dimension): they are drawn once into a read-only table that every call
@@ -42,6 +42,7 @@ from .linalg import (
     column_span,
     mat_exp,
     numerical_rank,
+    spectral_norm,
     spectrum,
     symmetric_part_max_eig,
 )
@@ -68,6 +69,7 @@ PROBE_MODES = 4
 # sample tables of delta_obs_constant kept at once, one per
 # (seed, sample_count, dim)
 SAMPLE_TABLES = 4
+_STEPS = tuple(0.3 * 0.5**j for j in range(25))  # pattern-search steps, all above 1e-8
 
 
 class RankDeficiencyError(ValueError):
@@ -181,7 +183,7 @@ def _rank_search(system, sched, k_max):
 
 def _unit_norm(A):
     """A divided by its spectral norm; the zero matrix unchanged."""
-    scale = np.linalg.norm(A, 2)
+    scale = spectral_norm(A)
     return A / scale if scale > 0.0 else A
 
 
@@ -307,7 +309,10 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     n * PROBE_MODES), so they are drawn once into a read-only table shared
     by every call with that key; at most SAMPLE_TABLES tables are kept,
     each pinning sample_count * (n * PROBE_MODES + 1) floats (1.4 MB for
-    10,000 samples at n = 4).
+    10,000 samples at n = 4). The pattern search's offsets
+    ``+-step [I | W]`` are built once per call, for all 25 steps 0.3 2^-j
+    above 1e-8, and each poll reduces in buffers allocated once, by the
+    floating-point operations of an allocating poll.
 
     Monotonicity in delta holds by construction: for a fixed seed the same
     sample set is used, and each sample's required constant decreases as
@@ -326,7 +331,7 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     # support has positive mass on every mode
     kernel = column_span(S).null  # shape (n, n - rank)
     if kernel.size:
-        surviving = np.linalg.norm(F0T @ kernel, 2)
+        surviving = spectral_norm(F0T @ kernel)
         if surviving > delta * (1.0 + 1e-12):
             return ObservabilityReport(
                 k=k, constant=math.inf, method="sampled-fit", delta=delta
@@ -344,12 +349,13 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
     mix[:2, 0] = -delta, 1.0
     mix[2:, 1] = 1.0
 
-    def poll(img):
-        # constant needed per state: max(0, (lhs - delta ||z||) / readings),
-        # +inf where a state needs some but has no readings; squares img
+    def poll(img, sums=None, mixed=None, vals=None):
+        # max(0, (lhs - delta ||z||) / readings) per state, +inf if it needs
+        # some but has no readings; squares img, fills the buffers given
         np.square(img, out=img)
-        needed, obs = (np.sqrt(np.add.reduceat(img, starts, axis=-1)) @ mix).T
-        return np.fmax(needed / obs, 0.0)
+        sums = np.sqrt(np.add.reduceat(img, starts, axis=-1, out=sums), out=sums)
+        mixed = sums.dot(mix, out=mixed)
+        return np.fmax(np.divide(mixed[..., 0], mixed[..., 1], out=vals), 0.0, out=vals)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # the value is scale-invariant: score the raw samples, normalize the
@@ -366,23 +372,22 @@ def delta_obs_constant(system, sched, k, delta, sample_count=10000, seed=0):
 
         # pattern search on the sphere around the best sample, candidates
         # best +- step e_i read unnormalized: their images are
-        # best @ [I | W] + step [WI; -WI]
+        # best @ [I | W] + step [WI; -WI], every level built here
         MW = np.vstack([WI, -WI])
-        step = 0.3
-        stepped = step * MW
-        img = np.empty_like(MW)
-        while step > 1e-8:
-            vals = poll(np.add(stepped, base, out=img))
-            idx = int(vals.argmax())
-            if vals[idx] > best_val:
-                best_val = float(vals[idx])
-                best[idx % dim] += step if idx < dim else -step
-                best /= math.sqrt(best @ best)
-                # recomputed, not carried forward, so rounding cannot drift
-                base = best @ WI
-            else:
-                step *= 0.5
-                np.multiply(MW, step, out=stepped)
+        img, rows = np.empty_like(MW), len(MW)
+        bufs = np.empty((rows, starts.size)), np.empty((rows, 2)), np.empty(rows)
+        for step, stepped in zip(_STEPS, np.multiply.outer(_STEPS, MW)):
+            while True:
+                vals = poll(np.add(stepped, base, out=img), *bufs)
+                idx = int(vals.argmax())
+                if vals[idx] > best_val:
+                    best_val = float(vals[idx])
+                    best[idx % dim] += step if idx < dim else -step
+                    best /= math.sqrt(best @ best)
+                    # recomputed, not carried forward, so rounding cannot drift
+                    base = best @ WI
+                else:
+                    break  # no candidate improves: halve the step
     return ObservabilityReport(
         k=k, constant=best_val, method="sampled-fit", delta=delta
     )
@@ -398,19 +403,26 @@ def compose_obs(D_op, delta, gamma, k, system, sched):
                         / (sum_i 1/||flow(t_{i*gamma*hbar})||),
         D_k     = D_op / (sum_i 1/||flow(t_{i*gamma*hbar})||),
 
-    both sums over i = 0..k-1, with exact operator norms. Raises
-    NonFiniteStateError when a flow norm has no finite inverse.
+    sums over i = 0..k-1 of the norms of the powers of one block flow
+    (`semigroup_norm`'s to rounding). gamma and k must be integers. Raises
+    NonFiniteStateError when a power overflows or a norm has no finite inverse.
     """
+    gamma, k = operator.index(gamma), operator.index(k)
     if gamma < 1 or k < 1:
         raise ValueError("gamma and k must be positive integers")
     block = gamma * sched.hbar
     times = [time_at(sched, i * block) for i in range(k)]
-    norms = [semigroup_norm(system, t) for t in times]
-    for t, v in zip(times, norms):
-        if v == 0.0 or math.isinf(1.0 / v):
-            raise NonFiniteStateError(f"the flow norm {v} at t = {t} has no finite inverse")
-    direct = sum(norms)
-    inverse = sum(1.0 / v for v in norms)
+    E = _shifted_flow(system, times[1])[0] if k > 1 else None
+    power, direct, inverse = np.eye(system.n), 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            power = power @ E if i else power
+            if not np.isfinite(power).all():
+                raise NonFiniteStateError(f"the flow over t = {t} overflowed")
+            v = spectral_norm(power)
+            if v == 0.0 or math.isinf(1.0 / v):
+                raise NonFiniteStateError(f"the flow norm {v} at t = {t} has no finite inverse")
+            direct, inverse = direct + v, inverse + 1.0 / v
     return delta * direct / inverse, D_op / inverse
 
 
@@ -428,7 +440,7 @@ def semigroup_norm(system, t):
     E, _ = _shifted_flow(system, t)
     if not np.all(np.isfinite(E)):
         raise NonFiniteStateError(f"the flow over t = {t} overflowed")
-    return float(np.linalg.norm(E, 2))
+    return spectral_norm(E)
 
 
 def _spectral_tol(lam1):

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import UnreachableTargetError, column_span, min_norm_solve
+from .linalg import UnreachableTargetError, column_span, min_norm_solve, spectral_norm
 from .observability import (
     RankDeficiencyError,
     _dissipative,
@@ -619,7 +619,7 @@ def constrained_null_synthesize(system, sched, x0, k_max):
         )
     props = Propagators(system, sched)
     hbar = system.hbar
-    growth = sum(float(np.linalg.norm(F, 2)) for F, _ in props.to_final(hbar)[:hbar])
+    growth = sum(spectral_norm(F) for F, _ in props.to_final(hbar)[:hbar])
     M = max(growth, 1.0)
     eps = 1.0 / (M * math.sqrt(C))
 
@@ -767,7 +767,7 @@ class _HorizonModel:
             out[blocks] += (Z @ gram[modes]).reshape(-1, *self.shape[1:])
         return out
 
-    def descend(self, x0, U, iters, eps=None):
+    def descend(self, x0, U, iters, eps=None, first=None):
         """At most `iters` FISTA steps with backtracking from the controls U.
 
         Minimizes ``0.5 ||free + apply(V)||^2`` over V, shape (k, m, N), in
@@ -780,10 +780,11 @@ class _HorizonModel:
         images, so a step costs one `apply` and one `gradient`.
 
         Every gradient, at r = free + apply(Y), gives the dual bound
-        `_dual_bound`, and the best one is kept. With eps the descent stops
-        once an iterate's residual is at most eps or the bound proves eps
-        out of reach (`_verdict`); without it, once the bound is within a
-        relative 1e-10 of the best residual.
+        `_dual_bound`, and the best one is kept; a caller holding the first
+        pair (gradient, bound), at r = free + apply(U), passes it as first.
+        With eps the descent stops once an iterate's residual is at most eps
+        or the bound proves eps out of reach (`_verdict`); without it, once
+        the bound is within a relative 1e-10 of the best residual.
 
         Without eps the momentum also restarts (B. O'Donoghue and E.
         Candès, Found. Comput. Math. 15 (2015), gradient scheme): after a
@@ -810,8 +811,12 @@ class _HorizonModel:
             best_res, best_u, best_i = l2_norm(free + AU), U, 0
             while True:
                 r = free + AY
-                g = self.gradient(r)
-                bound = max(bound, _dual_bound(free, r, g))
+                if first is None:
+                    g = self.gradient(r)
+                    value = _dual_bound(free, r, g)
+                else:
+                    (g, value), first = first, None
+                bound = max(bound, value)
                 if not math.isfinite(bound):
                     raise overflow
                 if steps == iters:

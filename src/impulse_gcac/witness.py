@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import spectral_norm
 from .observability import _spectral_class, _spectral_tol
 from .schedule import check_cycle
 from .spectral import NonFiniteStateError, Propagators, _check_state, zero_state
@@ -116,7 +117,7 @@ def negative_bound(system, sched, epsilon0):
     eta = V[:, pick]
     eta = eta / np.linalg.norm(eta)
 
-    q_max = max(float(np.linalg.norm(Q, 2)) for Q in system.gains)
+    q_max = max(spectral_norm(Q) for Q in system.gains)
     base = q_max / ((rho.real - lam1) * min(sched.slot_lengths))
 
     eta_hat = np.imag(eta)
@@ -154,7 +155,7 @@ def reachability_gap(system, sched, x0, k, grad_iters):
     control fails, achieved comes from one `_HorizonModel.descend` of at
     most `grad_iters` steps from the zero control, with restarted
     momentum, which stops once its dual bound is within a relative 1e-10
-    of its best residual.
+    of its best residual; it reuses the route test's gradient and bound.
 
     lower_bound is the best of the dual bounds of the coupling
     eigendirections on mode 1 and, when the descent ran, of its residual
@@ -189,14 +190,15 @@ def reachability_gap(system, sched, x0, k, grad_iters):
                     phi = zero_state(system)
                     phi[:, 0] = part
                     values.append(_dual_bound(free, phi, model.gradient(phi)))
-        achieved = None
+        achieved = first = None
         if system.has_full_supports() and free.any():
-            # the descent's first bound; above 0 it proves no control exact
-            first = _dual_bound(free, free, model.gradient(free))
-            if -math.inf < first <= 0.0:
+            # the descent's first gradient and bound; above 0, nothing is exact
+            g = model.gradient(free)
+            first = g, _dual_bound(free, free, g)
+            if -math.inf < first[1] <= 0.0:
                 achieved = _null_residual(props, x0, k)
     if achieved is None:
-        run = model.descend(x0, np.zeros(model.shape), grad_iters)
+        run = model.descend(x0, np.zeros(model.shape), grad_iters, first=first)
         values.append(run.bound)
         achieved = run.residual
     if not all(math.isfinite(v) for v in values):

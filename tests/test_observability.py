@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
 )
 
 from impulse_gcac import observability
+from impulse_gcac.linalg import spectral_norm
 from impulse_gcac.observability import (
     compose_obs,
     delta_obs_constant,
@@ -318,6 +320,44 @@ def test_composed_constants_hold_on_fresh_samples():
         lhs = l2_norm(apply_adjoint_semigroup(system, z, t_2))
         obs = _observation_sum(system, sched, z, 2, t_2)
         assert lhs <= D_2 * obs + delta_2 * l2_norm(z) + 1e-9 * l2_norm(z)
+
+
+@pytest.mark.parametrize("hbar", [1, 2])
+@pytest.mark.parametrize("gamma", [1, 2])
+def test_compose_obs_block_norms_are_the_semigroup_norms(gamma, hbar):
+    # the norms of the powers of one block flow against one exponential
+    # per block time, on a non-normal coupling with complex eigenvalues
+    P = np.array([[-0.3, 0.8], [-0.5, 0.2]])
+    system = make_system(P, [np.eye(2)] * hbar, modes=8)
+    sched = ImpulseSchedule(base_times=(0.35,) if hbar == 1 else (0.15, 0.35))
+    seen = []
+
+    def spy(A):
+        seen.append(spectral_norm(A))
+        return seen[-1]
+
+    for k in range(1, 7):
+        seen.clear()
+        with mock.patch.object(observability, "spectral_norm", spy):
+            delta_k, D_k = compose_obs(1.5, 0.2, gamma, k, system, sched)
+        want = [semigroup_norm(system, time_at(sched, i * gamma * hbar)) for i in range(k)]
+        assert seen == pytest.approx(want, rel=1e-13, abs=0.0)
+        inverse = sum(1.0 / v for v in want)
+        assert delta_k == pytest.approx(0.2 * sum(want) / inverse, rel=1e-13, abs=0.0)
+        assert D_k == pytest.approx(1.5 / inverse, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["gamma", "k"])
+def test_compose_obs_takes_integer_counts(name):
+    # a float gamma once failed deep inside time_at, on a tuple index
+    system = make_system(np.zeros((2, 2)), [np.eye(2)], modes=8)
+    args = {"D_op": 1.0, "delta": 0.1, "gamma": 1, "k": 2, "system": system, "sched": unit_schedule()}
+    with mock.patch.object(observability, "_shifted_flow") as flow:
+        for bad in (1.5, 2.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                compose_obs(**{**args, name: bad})
+    flow.assert_not_called()
+    assert compose_obs(**{**args, name: np.int64(2)}) == compose_obs(**{**args, name: 2})
 
 
 # ---------------------------------------------------------------------------

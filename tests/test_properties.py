@@ -18,13 +18,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from impulse_gcac import synthesis
-from impulse_gcac.linalg import RANK_TOL, column_span, mat_exp, min_norm_solve, numerical_rank
+from impulse_gcac.linalg import (
+    RANK_TOL,
+    column_span,
+    mat_exp,
+    min_norm_solve,
+    numerical_rank,
+    spectral_norm,
+)
 from impulse_gcac.observability import (
     RankDeficiencyError,
     PROBE_MODES,
     _rank_search,
     _reading_maps,
     _reading_matrix,
+    _sample_table,
     delta_obs_constant,
     finite_obs_constant,
     hypothesis_verdict,
@@ -529,40 +537,40 @@ def test_reading_matrix_search_matches_the_per_poll_search(case, k, delta):
         assert got == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "coupling, gains, base_times, k, delta",
-    [
-        # n = 2 and 3, one and two slots, full supports, 32 modes; k = k*
-        (
-            [[-0.4, 0.6], [-0.3, 0.2]],
-            [[[1.0], [0.5]]],
-            (0.3,),
-            2,
-            0.05,
-        ),
-        (
-            [[0.1, -0.5], [0.4, -0.2]],
-            [[[1.0], [-0.3]], [[0.2], [1.0]]],
-            (0.15, 0.4),
-            2,
-            0.2,
-        ),
-        (
-            [[-0.3, 0.5, 0.0], [-0.2, 0.1, 0.4], [0.1, -0.3, -0.5]],
-            [[[1.0], [0.2], [-0.4]]],
-            (0.25,),
-            3,
-            0.05,
-        ),
-        (
-            [[0.2, 0.3, -0.1], [-0.4, -0.1, 0.2], [0.0, 0.3, -0.6]],
-            [[[0.6], [1.0], [0.1]], [[-0.2], [0.3], [1.0]]],
-            (0.1, 0.35),
-            3,
-            0.2,
-        ),
-    ],
-)
+# n = 2 and 3, one and two slots, full supports, 32 modes; k = k*
+SHARED_TABLE_CASES = [
+    (
+        [[-0.4, 0.6], [-0.3, 0.2]],
+        [[[1.0], [0.5]]],
+        (0.3,),
+        2,
+        0.05,
+    ),
+    (
+        [[0.1, -0.5], [0.4, -0.2]],
+        [[[1.0], [-0.3]], [[0.2], [1.0]]],
+        (0.15, 0.4),
+        2,
+        0.2,
+    ),
+    (
+        [[-0.3, 0.5, 0.0], [-0.2, 0.1, 0.4], [0.1, -0.3, -0.5]],
+        [[[1.0], [0.2], [-0.4]]],
+        (0.25,),
+        3,
+        0.05,
+    ),
+    (
+        [[0.2, 0.3, -0.1], [-0.4, -0.1, 0.2], [0.0, 0.3, -0.6]],
+        [[[0.6], [1.0], [0.1]], [[-0.2], [0.3], [1.0]]],
+        (0.1, 0.35),
+        3,
+        0.2,
+    ),
+]
+
+
+@pytest.mark.parametrize("coupling, gains, base_times, k, delta", SHARED_TABLE_CASES)
 def test_shared_sample_table_search_matches_the_per_poll_search(
     coupling, gains, base_times, k, delta
 ):
@@ -575,6 +583,102 @@ def test_shared_sample_table_search_matches_the_per_poll_search(
     want = _per_poll_delta_obs(system, sched, k, delta, sample_count=10000)
     assert 0.0 < want < math.inf
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _allocating_search(system, sched, k, delta, sample_count=10000, seed=0):
+    """`delta_obs_constant` with the pattern search it ran before its step
+    levels were built up front and its polls ran in place: every poll
+    allocates its segment sums, their roots, the mixed columns and the
+    ratios, and every halving rescales [WI; -WI]. Kept as the reference
+    that the search matches bitwise."""
+    pm = min(PROBE_MODES, system.domain.modes)
+    maps = _reading_maps(system, sched, k, pm)
+    _, F0T, _, S, _ = maps
+    kernel = column_span(S).null
+    if kernel.size and np.linalg.norm(F0T @ kernel, 2) > delta * (1.0 + 1e-12):
+        return math.inf
+    W, cuts = _reading_matrix(maps)
+    dim = W.shape[0]
+    Z, norms = _sample_table(seed, sample_count, dim)
+    WI = np.hstack([np.eye(dim), W])
+    starts = np.concatenate([[0], dim + cuts])
+    mix = np.zeros((starts.size, 2))
+    mix[:2, 0] = -delta, 1.0
+    mix[2:, 1] = 1.0
+
+    def poll(img):
+        np.square(img, out=img)
+        needed, obs = (np.sqrt(np.add.reduceat(img, starts, axis=-1)) @ mix).T
+        return np.fmax(needed / obs, 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        img = W.T @ Z.T
+        np.square(img, out=img)
+        lhs = np.sqrt(img[: cuts[1]].sum(axis=0))
+        obs = np.sqrt(img[cuts[1] :].reshape(k, -1, len(Z)).sum(axis=1)).sum(axis=0)
+        best_idx = int(np.fmax((lhs - delta * norms) / obs, 0.0).argmax())
+        best = Z[best_idx] / norms[best_idx]
+        base = best @ WI
+        best_val = float(poll(base.copy()))
+        MW = np.vstack([WI, -WI])
+        step = 0.3
+        stepped = step * MW
+        img = np.empty_like(MW)
+        while step > 1e-8:
+            vals = poll(np.add(stepped, base, out=img))
+            idx = int(vals.argmax())
+            if vals[idx] > best_val:
+                best_val = float(vals[idx])
+                best[idx % dim] += step if idx < dim else -step
+                best /= math.sqrt(best @ best)
+                base = best @ WI
+            else:
+                step *= 0.5
+                np.multiply(MW, step, out=stepped)
+    return best_val
+
+
+@pytest.mark.parametrize("coupling, gains, base_times, k, delta", SHARED_TABLE_CASES)
+def test_in_place_search_is_the_allocating_search_bitwise(coupling, gains, base_times, k, delta):
+    system = make_system(np.array(coupling), [np.array(g) for g in gains], modes=32)
+    sched = ImpulseSchedule(base_times=base_times)
+    got = delta_obs_constant(system, sched, k, delta).constant
+    want = _allocating_search(system, sched, k, delta)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@given(
+    strict_systems(local=True).filter(_gram_cuts_conditioned),
+    st.integers(1, 6),
+    st.floats(0.1, 0.6),
+)
+def test_in_place_search_is_the_allocating_search_bitwise_on_drawn_systems(case, k, delta):
+    system, sched = case
+    got = delta_obs_constant(system, sched, k, delta, sample_count=300).constant
+    want = _allocating_search(system, sched, k, delta, sample_count=300)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@example(A=np.zeros((3, 5)), log_scale=0)
+@example(A=np.zeros((1, 1)), log_scale=0)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        elements=st.floats(-1.0, 1.0),
+    ),
+    st.integers(-300, 300),
+)
+def test_spectral_norm_is_the_matrix_2_norm_bitwise(A, log_scale):
+    A = A * 10.0**log_scale
+    assert np.float64(spectral_norm(A)).tobytes() == np.linalg.norm(A, 2).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_spectral_norm_of_an_empty_matrix_is_zero(shape):
+    A = np.zeros(shape)
+    assert spectral_norm(A) == 0.0
+    assert np.float64(spectral_norm(A)).tobytes() == np.linalg.norm(A, 2).tobytes()
 
 
 @given(strict_systems(local=True), st.integers(1, 12))

@@ -185,6 +185,31 @@ def test_gap_falls_back_to_the_descent_when_the_null_control_is_rejected(case):
     assert lower == min(max(run.bound, 0.0), run.residual)
 
 
+def test_gap_hands_the_free_gradient_to_the_descent():
+    # a full-support target beyond the unit ball: the route test's gradient
+    # and bound of the free state are the descent's first, so handing them
+    # over saves one gradient and changes no bit of the gap
+    rng = np.random.default_rng(0)
+    system = make_system(0.5 * rng.standard_normal((2, 2)), [rng.standard_normal((2, 1))], modes=8)
+    x0 = zero_state(system)
+    x0[:, 0] = 20.0 * rng.standard_normal(2)
+    descend = _HorizonModel.descend
+
+    def recomputing(self, x0, U, iters, eps=None, first=None):
+        return descend(self, x0, U, iters, eps)
+
+    runs = []
+    for run in (descend, recomputing):
+        with mock.patch.object(_HorizonModel, "descend", run), mock.patch.object(
+            _HorizonModel, "gradient", autospec=True, side_effect=_HorizonModel.gradient
+        ) as gradient:
+            runs.append((reachability_gap(system, unit_schedule(), x0, 3, 30), gradient.call_count))
+    (handed, calls), (recomputed, recalls) = runs
+    assert handed[0] > 0.0
+    assert calls == recalls - 1
+    assert handed == recomputed
+
+
 @pytest.mark.parametrize("name", ["k", "grad_iters"])
 def test_gap_takes_integer_horizons_and_step_caps(name):
     # a float step cap never met `steps == iters`, so it was silently dropped
